@@ -62,6 +62,7 @@ from .errors import (
 from .oracle import (
     DEFAULT_REFUTER_SEED,
     oracle_faces,
+    oracle_facets,
     oracle_lex_argmin,
     oracle_refute_face,
 )
@@ -123,6 +124,7 @@ __all__ = [
     "lex_preorder",
     "linear_independent",
     "oracle_faces",
+    "oracle_facets",
     "oracle_lex_argmin",
     "oracle_refute_face",
     "origin",

@@ -54,6 +54,13 @@ def _rational_from(value: Any) -> Fraction:
         raise _fail(str(exc)) from exc
 
 
+def _rationals_from(value: Any, what: str) -> tuple[Fraction, ...]:
+    """A JSON list of rational strings; anything else is a FormatError."""
+    if not isinstance(value, list):
+        raise _fail(f"{what} must be a list of rationals, got {value!r}")
+    return tuple(_rational_from(c) for c in value)
+
+
 def point_to_json(point: Point) -> list[str]:
     return [format_rational(c) for c in point.coords]
 
@@ -110,7 +117,7 @@ def functional_to_json(functional: AffineFunctional) -> dict:
 def functional_from_json(doc: Any) -> AffineFunctional:
     if not isinstance(doc, dict) or "coeffs" not in doc:
         raise _fail("an affine functional needs a 'coeffs' key")
-    coeffs = tuple(_rational_from(c) for c in doc["coeffs"])
+    coeffs = _rationals_from(doc["coeffs"], "'coeffs'")
     offset = _rational_from(doc.get("offset", "0"))
     return AffineFunctional(LinearFunctional(coeffs), offset)
 
@@ -139,7 +146,7 @@ def preorder_from_json(doc: Any) -> LexPreorder:
     if not isinstance(levels, list) or not levels:
         raise _fail("'levels' must be a nonempty list")
     return LexPreorder(
-        tuple(LinearFunctional(tuple(_rational_from(c) for c in row)) for row in levels)
+        tuple(LinearFunctional(_rationals_from(row, "each level")) for row in levels)
     )
 
 
@@ -251,7 +258,9 @@ def disk_face_to_json(face: DiskFace) -> dict:
 
 
 def _edge_from_json(body: DiskBody, doc: Any) -> Edge:
-    normal = LinearFunctional(tuple(_rational_from(c) for c in doc.get("normal", [])))
+    if not isinstance(doc, dict):
+        raise _fail(f"an edge must be a JSON object, got {doc!r}")
+    normal = LinearFunctional(_rationals_from(doc.get("normal"), "an edge 'normal'"))
     offset = _rational_from(doc.get("offset", "0"))
     for edge in body.edges():
         if edge.normal == normal and edge.offset == offset:
@@ -269,9 +278,7 @@ def disk_face_from_json(body: DiskBody, doc: Any) -> DiskFace:
     if kind == "edge":
         return _edge_from_json(body, doc)
     if kind == "arc_point":
-        direction = LinearFunctional(
-            tuple(_rational_from(c) for c in doc.get("direction", []))
-        )
+        direction = LinearFunctional(_rationals_from(doc.get("direction"), "'direction'"))
         disk = doc.get("disk")
         if not isinstance(disk, int) or not 0 <= disk < len(body.disks):
             raise _fail(f"bad disk index {disk!r}")

@@ -10,9 +10,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from typing import Sequence
 
-from .core import LinearFunctional, Point
+from .core import (
+    LinearFunctional,
+    Point,
+    affine_hull,
+    nullspace_basis,
+    primitive_tuple,
+    solve_linear_system,
+)
 from .errors import SizeGuardExceededError
 from .polytope import FaceDescriptor, Polytope
 from .sampling import sample_in_hull
@@ -23,6 +32,92 @@ DEFAULT_REFUTER_SEED = 7193
 _MAX_VERTICES = 12
 _MAX_DIM = 4
 _MAX_FACETS = 16  # candidate functionals grow as 2**facets
+_MAX_SUBSETS = 4096  # oracle_facets solves one nullspace per d-subset; the 4-cube needs 1820
+
+
+def oracle_facets(points: Sequence[Point]) -> list[tuple[LinearFunctional, Fraction, tuple[int, ...]]]:
+    """Facets of conv(points) relative to its affine hull, in ambient form.
+
+    Brute force: every hyperplane through an affinely independent d-subset
+    (d the intrinsic dimension) is kept when all points lie weakly on one
+    side, oriented as functional(x) <= offset, and deduplicated by the
+    normalized (functional, offset) pair.  This tries all C(n, d) subsets,
+    one nullspace solve each, so it is meant for desk-scale inputs only;
+    the result has the shape and order of the main path's facet list.
+    """
+    hull = affine_hull(points)
+    d = hull.dim
+    if d == 0:
+        return []
+    if comb(len(points), d) > _MAX_SUBSETS:
+        raise SizeGuardExceededError(
+            f"oracle_facets guard: C({len(points)}, {d}) subsets exceed {_MAX_SUBSETS}"
+        )
+    ambient = hull.ambient_dim
+
+    if d == ambient:
+        intrinsic = [p.coords for p in points]
+        to_ambient = None
+    else:
+        # Intrinsic coordinates t with x = base + D t; D has independent
+        # columns, so G = (D^T D)^{-1} D^T is an exact left inverse.
+        columns = [dir_.coords for dir_ in hull.directions]  # rows here = D columns
+        gram = [
+            [sum(a * b for a, b in zip(columns[i], columns[j])) for j in range(d)]
+            for i in range(d)
+        ]
+        g_rows: list[list[Fraction]] = []
+        for k in range(ambient):
+            rhs = [columns[i][k] for i in range(d)]
+            col = solve_linear_system(gram, rhs, d)
+            assert col is not None  # gram matrix of independent columns is invertible
+            g_rows.append(col)
+        # g_rows[k][j] = G[j][k]; intrinsic coords of x are G (x - base).
+        base = hull.base
+
+        def coords_of(p: Point) -> tuple[Fraction, ...]:
+            delta = p - base
+            return tuple(
+                sum(g_rows[k][j] * delta.coords[k] for k in range(ambient))
+                for j in range(d)
+            )
+
+        intrinsic = [coords_of(p) for p in points]
+        to_ambient = (g_rows, base)
+
+    found: dict[tuple[tuple[Fraction, ...], Fraction], tuple[LinearFunctional, Fraction, tuple[int, ...]]] = {}
+    for subset in combinations(range(len(points)), d):
+        rows = [list(intrinsic[i]) + [Fraction(-1)] for i in subset]
+        kernel = nullspace_basis(rows, d + 1)
+        if len(kernel) != 1:
+            continue  # affinely dependent subset
+        *w, c = kernel[0]
+        values = [sum(wk * tk for wk, tk in zip(w, t)) for t in intrinsic]
+        if all(v <= c for v in values):
+            pass
+        elif all(v >= c for v in values):
+            w = [-wk for wk in w]
+            c = -c
+            values = [-v for v in values]
+        else:
+            continue
+        tight = tuple(i for i, v in enumerate(values) if v == c)
+
+        if to_ambient is None:
+            coeffs: Sequence[Fraction] = w
+            offset = c
+        else:
+            g_rows, base = to_ambient
+            coeffs = [
+                sum(w[j] * g_rows[k][j] for j in range(d)) for k in range(ambient)
+            ]
+            offset = c + sum(ck * bk for ck, bk in zip(coeffs, base.coords))
+
+        normalized = primitive_tuple(tuple(coeffs) + (offset,))
+        key = (normalized[:-1], normalized[-1])
+        if key not in found:
+            found[key] = (LinearFunctional(normalized[:-1]), normalized[-1], tight)
+    return sorted(found.values(), key=lambda item: (item[0].coeffs, item[1]))
 
 
 def oracle_faces(polytope: Polytope) -> tuple[FaceDescriptor, ...]:
@@ -31,7 +126,9 @@ def oracle_faces(polytope: Polytope) -> tuple[FaceDescriptor, ...]:
     Start from the whole vertex set; for every known face, minimize every
     sum of a subset of inward facet normals of its hull and record the
     argmin vertex sets; iterate to a fixpoint.  This never intersects
-    tight sets, so it is independent of the facet-intersection route.
+    tight sets, and it finds facets with :func:`oracle_facets`, so it is
+    independent of both the facet-intersection route and the main path's
+    facet enumeration.
     """
     if len(polytope.vertices) > _MAX_VERTICES or polytope.ambient_dim > _MAX_DIM:
         raise SizeGuardExceededError(
@@ -41,21 +138,21 @@ def oracle_faces(polytope: Polytope) -> tuple[FaceDescriptor, ...]:
     queue = [polytope.all_indices()]
     while queue:
         face = queue.pop()
-        sub = polytope.face_polytope(face)
-        facets = sub.facets()
+        points = polytope.face_points(face)
+        facets = oracle_facets(points)
         if len(facets) > _MAX_FACETS:
             raise SizeGuardExceededError(
                 f"oracle_faces guard: {len(facets)} facets exceed {_MAX_FACETS}"
             )
-        inward = [-f.functional for f in facets]
-        local = list(face.vertex_indices)  # sub vertex k is polytope vertex local[k]
+        inward = [-functional for functional, _offset, _tight in facets]
+        local = list(face.vertex_indices)  # face point k is polytope vertex local[k]
         for mask in range(1, 1 << len(inward)):
             coeffs = [0] * polytope.ambient_dim
             for bit, normal in enumerate(inward):
                 if mask >> bit & 1:
                     coeffs = [a + b for a, b in zip(coeffs, normal.coeffs)]
             functional = LinearFunctional(tuple(coeffs))
-            values = [functional(v) for v in sub.vertices]
+            values = [functional(v) for v in points]
             best = min(values)
             argmin = FaceDescriptor(
                 tuple(local[k] for k, v in enumerate(values) if v == best)

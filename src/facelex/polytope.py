@@ -1,10 +1,12 @@
 """V-representation polytopes with exact facet and face-lattice queries.
 
-Facet enumeration is deliberately brute force (hyperplanes through every
-affinely independent vertex subset): the targets are desk-scale fixtures
-where exactness and auditability outrank speed.  Lower-dimensional
+Facets come from the exact double-description method on integer
+coordinates (see :func:`_hull_facets`); one facet pass over the input
+points also decides which of them are vertices.  Lower-dimensional
 polytopes are handled intrinsically, in coordinates of their affine hull,
-and results are mapped back to ambient coordinates.
+and results are mapped back to ambient coordinates.  The brute-force
+enumeration this replaced lives on in :mod:`facelex.oracle` as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     AffineManifold,
+    IncrementalSpan,
     LinearFunctional,
     Point,
     _require_same_dim,
@@ -70,107 +73,138 @@ class Facet:
         return self.slack(x) == 0
 
 
-def _hull_facets(points: Sequence[Point]) -> list[tuple[LinearFunctional, Fraction, tuple[int, ...]]]:
-    """Facets of conv(points) relative to its affine hull, in ambient form.
+def _intrinsic_chart(
+    points: Sequence[Point],
+) -> tuple[int, list[tuple[Fraction, ...]], Callable[[Sequence[Fraction], Fraction], tuple[tuple[Fraction, ...], Fraction]]]:
+    """Coordinates of the points in their affine hull, and the way back.
 
-    Brute force: every hyperplane through an affinely independent d-subset
-    (d the intrinsic dimension) is kept when all points lie weakly on one
-    side, oriented as functional(x) <= offset, and deduplicated by the
-    normalized (functional, offset) pair.
+    Returns the intrinsic dimension d, the intrinsic coordinates t of every
+    point, and a map taking an intrinsic inequality w.t <= c to its
+    primitive ambient (coeffs, offset) pair.  The ambient coefficients lie
+    in the span of the hull directions, so each facet has one ambient form
+    whatever base point and direction basis the hull was given.
     """
     hull = affine_hull(points)
     d = hull.dim
-    if d == 0:
-        return []
     ambient = hull.ambient_dim
 
     if d == ambient:
-        intrinsic = [p.coords for p in points]
-        to_ambient = None
-    else:
-        # Intrinsic coordinates t with x = base + D t; D has independent
-        # columns, so G = (D^T D)^{-1} D^T is an exact left inverse.
-        columns = [dir_.coords for dir_ in hull.directions]  # rows here = D columns
-        gram = [
-            [sum(a * b for a, b in zip(columns[i], columns[j])) for j in range(d)]
-            for i in range(d)
-        ]
-        g_rows: list[list[Fraction]] = []
-        for k in range(ambient):
-            rhs = [columns[i][k] for i in range(d)]
-            col = solve_linear_system(gram, rhs, d)
-            assert col is not None  # gram matrix of independent columns is invertible
-            g_rows.append(col)
-        # g_rows[k][j] = G[j][k]; intrinsic coords of x are G (x - base).
-        base = hull.base
 
-        def coords_of(p: Point) -> tuple[Fraction, ...]:
-            delta = p - base
-            return tuple(
-                sum(g_rows[k][j] * delta.coords[k] for k in range(ambient))
-                for j in range(d)
-            )
+        def to_ambient(w: Sequence[Fraction], c: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
+            normalized = primitive_tuple(tuple(w) + (c,))
+            return normalized[:-1], normalized[-1]
 
-        intrinsic = [coords_of(p) for p in points]
-        to_ambient = (g_rows, base)
+        return d, [p.coords for p in points], to_ambient
 
-    found: dict[tuple[tuple[Fraction, ...], Fraction], tuple[LinearFunctional, Fraction, tuple[int, ...]]] = {}
-    for subset in combinations(range(len(points)), d):
-        rows = [list(intrinsic[i]) + [Fraction(-1)] for i in subset]
-        kernel = nullspace_basis(rows, d + 1)
-        if len(kernel) != 1:
-            continue  # affinely dependent subset
-        *w, c = kernel[0]
-        values = [sum(wk * tk for wk, tk in zip(w, t)) for t in intrinsic]
-        if all(v <= c for v in values):
-            pass
-        elif all(v >= c for v in values):
-            w = [-wk for wk in w]
-            c = -c
-            values = [-v for v in values]
-        else:
-            continue
-        tight = tuple(i for i, v in enumerate(values) if v == c)
+    # Intrinsic coordinates t with x = base + D t; D has independent
+    # columns, so G = (D^T D)^{-1} D^T is an exact left inverse.
+    columns = [dir_.coords for dir_ in hull.directions]  # rows here = D columns
+    gram = [
+        [sum(a * b for a, b in zip(columns[i], columns[j])) for j in range(d)]
+        for i in range(d)
+    ]
+    g_rows: list[list[Fraction]] = []
+    for k in range(ambient):
+        rhs = [columns[i][k] for i in range(d)]
+        col = solve_linear_system(gram, rhs, d)
+        assert col is not None  # gram matrix of independent columns is invertible
+        g_rows.append(col)
+    # g_rows[k][j] = G[j][k]; intrinsic coords of x are G (x - base).
+    base = hull.base
 
-        if to_ambient is None:
-            coeffs: Sequence[Fraction] = w
-            offset = c
-        else:
-            g_rows, base = to_ambient
-            coeffs = [
-                sum(w[j] * g_rows[k][j] for j in range(d)) for k in range(ambient)
-            ]
-            offset = c + sum(ck * bk for ck, bk in zip(coeffs, base.coords))
+    def coords_of(p: Point) -> tuple[Fraction, ...]:
+        delta = p - base
+        return tuple(
+            sum(g_rows[k][j] * delta.coords[k] for k in range(ambient))
+            for j in range(d)
+        )
 
+    def to_ambient(w: Sequence[Fraction], c: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
+        coeffs = [sum(w[j] * g_rows[k][j] for j in range(d)) for k in range(ambient)]
+        offset = c + sum(ck * bk for ck, bk in zip(coeffs, base.coords))
         normalized = primitive_tuple(tuple(coeffs) + (offset,))
-        key = (normalized[:-1], normalized[-1])
-        if key not in found:
-            found[key] = (LinearFunctional(normalized[:-1]), normalized[-1], tight)
-    return sorted(found.values(), key=lambda item: (item[0].coeffs, item[1]))
+        return normalized[:-1], normalized[-1]
+
+    return d, [coords_of(p) for p in points], to_ambient
 
 
-def _in_hull(p: Point, points: Sequence[Point]) -> bool:
-    """Exact membership of p in conv(points) via facet enumeration."""
-    hull = affine_hull(points)
-    if not hull.contains(p):
-        return False
-    if hull.dim == 0:
-        return True  # conv of coincident points is that single point
-    for functional, offset, _tight in _hull_facets(points):
-        if functional(p) > offset:
-            return False
-    return True
+def _hull_facets(points: Sequence[Point]) -> list[tuple[LinearFunctional, Fraction, tuple[int, ...]]]:
+    """Facets of conv(points) relative to its affine hull, in ambient form.
+
+    Double description (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda &
+    Prodon 1996): in intrinsic coordinates t, the valid inequalities
+    w.t <= c form the cone {(w, c) : w.t_i - c <= 0 for every point i},
+    whose extreme rays are exactly the facets.  The cone of d + 1
+    affinely independent points is a simplicial seed; every further point
+    cuts it, keeping the rays on its side and combining each adjacent pair
+    of rays it separates into a ray on its hyperplane.  Each ray carries
+    its zero set as a bitmask over the points cut so far.  Two rays are
+    adjacent when their common zero set Z has at least d - 1 points and no
+    third ray's zero set contains Z; the test is combinatorial, so it is
+    exact on degenerate inputs.  Coordinates are scaled by their common
+    denominator, so the cutting runs on int only.  Facets are returned
+    sorted by (coefficients, offset), each with its tight point indices.
+    """
+    d, intrinsic, to_ambient = _intrinsic_chart(points)
+    if d == 0:
+        return []
+    scale = lcm(*(v.denominator for t in intrinsic for v in t))
+    # Row i pairs with a ray (w, c) as w.(scale t_i) - c, so a ray's c is
+    # scale times the offset of its inequality.
+    rows = [tuple(int(v * scale) for v in t) + (-1,) for t in intrinsic]
+
+    span = IncrementalSpan(d + 1)
+    seed = []
+    for i, row in enumerate(rows):
+        if span.add([Fraction(v) for v in row]):
+            seed.append(i)
+            if len(seed) == d + 1:
+                break
+    seed_mask = sum(1 << i for i in seed)
+    rays: list[tuple[list[int], int]] = []
+    for j in seed:
+        kernel = nullspace_basis([[Fraction(v) for v in rows[i]] for i in seed if i != j], d + 1)
+        ray = [int(v) for v in primitive_tuple(kernel[0])]
+        if _dot(ray, rows[j]) > 0:
+            ray = [-v for v in ray]
+        rays.append((ray, seed_mask & ~(1 << j)))
+
+    for i, row in enumerate(rows):
+        if seed_mask >> i & 1:
+            continue
+        bit = 1 << i
+        values = [_dot(ray, row) for ray, _zeros in rays]
+        kept = [(ray, zeros | bit if v == 0 else zeros) for (ray, zeros), v in zip(rays, values) if v <= 0]
+        if len(kept) == len(rays):
+            rays = kept
+            continue
+        masks = [zeros for _ray, zeros in rays]
+        negative = [k for k, v in enumerate(values) if v < 0]
+        for p, vp in enumerate(values):
+            if vp <= 0:
+                continue
+            for q in negative:
+                common = masks[p] & masks[q]
+                if common.bit_count() < d - 1 or any(
+                    m & common == common for k, m in enumerate(masks) if k != p and k != q
+                ):
+                    continue
+                vq = values[q]
+                ray = [vp * a - vq * b for a, b in zip(rays[q][0], rays[p][0])]
+                g = gcd(*ray)
+                kept.append(([v // g for v in ray], common | bit))
+        rays = kept
+
+    facets = []
+    for ray, zeros in rays:
+        coeffs, offset = to_ambient(ray[:-1], Fraction(ray[-1], scale))
+        tight = tuple(i for i in range(len(points)) if zeros >> i & 1)
+        facets.append((LinearFunctional(coeffs), offset, tight))
+    return sorted(facets, key=lambda item: (item[0].coeffs, item[1]))
 
 
-def _provably_extreme(p: Point, others: Sequence[Point]) -> bool:
-    """Cheap screen: p strictly separated from the others by p - centroid."""
-    centroid = barycenter(list(others) + [p])
-    direction = p - centroid
-    target = sum(a * b for a, b in zip(direction.coords, p.coords))
-    for q in others:
-        if sum(a * b for a, b in zip(direction.coords, q.coords)) >= target:
-            return False
-    return True
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
 class Polytope:
@@ -178,9 +212,11 @@ class Polytope:
 
     The constructor canonicalizes rather than rejects: duplicate points and
     points expressible as convex combinations of the others are removed,
-    and the removals are reported via :attr:`removed_points`.  The stored
-    :attr:`vertices` are therefore exactly the extreme points of the hull,
-    in first-seen input order.
+    and the removals are reported via :attr:`removed_points`: duplicates
+    first, then non-extreme points, each in first-seen input order.  The
+    stored :attr:`vertices` are therefore exactly the extreme points of the
+    hull, in first-seen input order, and their facets are known as soon as
+    the constructor returns.
     """
 
     def __init__(self, points: Iterable[Point | Sequence], *, assume_minimal: bool = False) -> None:
@@ -200,25 +236,35 @@ class Polytope:
         for p in pts[1:]:
             _require_same_dim(ambient, p.dim)
 
-        if not assume_minimal:
-            changed = True
-            while changed and len(pts) > 1:
-                changed = False
-                for i, p in enumerate(pts):
-                    others = pts[:i] + pts[i + 1 :]
-                    if _provably_extreme(p, others):
-                        continue
-                    if _in_hull(p, others):
-                        removed.append(p)
-                        pts = others
-                        changed = True
-                        break
+        facets: tuple[Facet, ...] | None = None
+        if not assume_minimal and len(pts) > 1:
+            # Point i is a vertex exactly when the facets through it meet in
+            # {i}: the smallest face containing a point is the intersection
+            # of its facets (the whole hull when there are none), and a face
+            # of dimension >= 1 has at least two vertices among the points.
+            hull_facets = _hull_facets(pts)
+            meets = [-1] * len(pts)
+            for _functional, _offset, tight in hull_facets:
+                mask = sum(1 << i for i in tight)
+                for i in tight:
+                    meets[i] &= mask
+            renumber = {}
+            for i, p in enumerate(pts):
+                if meets[i] == 1 << i:
+                    renumber[i] = len(renumber)
+                else:
+                    removed.append(p)
+            pts = [pts[i] for i in renumber]
+            facets = tuple(
+                Facet(functional, offset, tuple(renumber[i] for i in tight if i in renumber))
+                for functional, offset, tight in hull_facets
+            )
 
         self._vertices = tuple(pts)
         self._removed = tuple(removed)
         self._ambient_dim = ambient
         self._lock = threading.Lock()
-        self._facets: tuple[Facet, ...] | None = None
+        self._facets = facets
         self._hull: AffineManifold | None = None
         self._faces: tuple[FaceDescriptor, ...] | None = None
         self._sub_polytopes: dict[FaceDescriptor, Polytope] = {}

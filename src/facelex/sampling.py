@@ -13,11 +13,6 @@ from typing import Sequence
 from .core import Point
 
 
-def rational_in_unit(rng: random.Random, denominator: int = 64) -> Fraction:
-    """A random rational strictly inside (0, 1)."""
-    return Fraction(rng.randint(1, denominator - 1), denominator)
-
-
 def convex_weights(
     rng: random.Random, count: int, *, positive: bool = False, span: int = 8
 ) -> tuple[Fraction, ...]:

@@ -46,6 +46,9 @@ def files(tmp_path_factory):
     )
     write("tangency.json", jsonio.disk_face_to_json(tangency))
     write("broken.json", {"vertices": "nope"})
+    write("coeffs_number.json", {"functionals": [{"coeffs": 5}]})
+    write("coeffs_string.json", {"functionals": [{"coeffs": "12", "offset": "0"}]})
+    write("tangency_no_edge.json", {"kind": "tangency_point", "end": 0})
     (root / "not_json.json").write_text("{oops", encoding="utf-8")
     paths["not_json.json"] = str(root / "not_json.json")
     return paths
@@ -168,6 +171,19 @@ class TestErrorPaths:
     def test_bad_document_shape(self, files):
         result = run_cli("faces", "--input", files["broken.json"])
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("name", ["coeffs_number.json", "coeffs_string.json"])
+    def test_coeffs_not_a_list(self, files, name):
+        result = run_cli("eval", "--cortege", files[name], "--point", "1,1")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+    def test_tangency_point_without_edge(self, files):
+        result = run_cli(
+            "diskhull-certify", "--input", files["cone.json"], "--face", files["tangency_no_edge.json"]
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
 
     def test_missing_file(self):
         result = run_cli("faces", "--input", "/nonexistent.json")

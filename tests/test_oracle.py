@@ -1,7 +1,13 @@
+import itertools
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import facelex as fx
-from facelex.oracle import oracle_faces, oracle_lex_argmin, oracle_refute_face
+from facelex.oracle import oracle_faces, oracle_facets, oracle_lex_argmin, oracle_refute_face
+from facelex.polytope import _hull_facets
 from helpers import lf
 
 
@@ -26,6 +32,48 @@ class TestOracleFaces:
     def test_size_guard(self, fixture_polytopes):
         with pytest.raises(fx.SizeGuardExceededError):
             oracle_faces(fixture_polytopes["4-cube"])
+
+
+@st.composite
+def point_sets(draw):
+    """Up to nine points with intrinsic dimension at most 4, embedded by an
+    integer affine map into an ambient space of up to two more dimensions,
+    with repeats and midpoints (on edges, on facets or interior) mixed in
+    anywhere in the order."""
+    d = draw(st.integers(1, 4))
+    ambient = d + draw(st.integers(0, 2))
+    coordinate = st.integers(-1, 1)
+    base = draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=7))
+    points = [tuple(Fraction(c) for c in q) for q in base]
+    for _ in range(draw(st.integers(0, 9 - len(points)))):
+        a = draw(st.sampled_from(points))
+        b = draw(st.sampled_from(points))
+        points.append(tuple((x + y) / 2 for x, y in zip(a, b)))  # a repeat when a == b
+    points = draw(st.permutations(points))
+    embedding = [draw(st.lists(st.integers(-2, 2), min_size=d + 1, max_size=d + 1)) for _ in range(ambient)]
+    return [
+        fx.Point(tuple(sum(row[j] * q[j] for j in range(d)) + row[d] for row in embedding))
+        for q in points
+    ]
+
+
+class TestOracleFacets:
+    def test_main_path_agrees_on_fixtures(self, fixture_polytopes):
+        for name, polytope in fixture_polytopes.items():
+            assert _hull_facets(polytope.vertices) == oracle_facets(polytope.vertices), name
+
+    def test_size_guard(self):
+        with pytest.raises(fx.SizeGuardExceededError):
+            oracle_facets([fx.Point(c) for c in itertools.product((0, 1), repeat=5)])
+
+    @settings(deadline=None, max_examples=150)
+    @given(points=point_sets())
+    def test_main_path_agrees_on_random_point_sets(self, points):
+        assert _hull_facets(points) == oracle_facets(points)
+        polytope = fx.Polytope(points)
+        assert [
+            (f.functional, f.offset, f.tight_vertices) for f in polytope.facets()
+        ] == oracle_facets(polytope.vertices)
 
 
 class TestOracleLexArgmin:

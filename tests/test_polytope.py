@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 import facelex as fx
+import facelex.polytope
 from facelex.sampling import sample_in_hull
 from helpers import cube, facet_triples, pt, simplex, unit_square
 
@@ -26,6 +28,37 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fx.Polytope([])
+
+    def test_removal_order_duplicates_then_non_extreme(self):
+        p = fx.Polytope([(1, 1), (0, 0), (2, 0), (2, 2), (0, 2), (2, 0)])
+        assert p.vertices == (pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2))
+        assert p.removed_points == (pt(2, 0), pt(1, 1))
+
+    def test_point_inside_an_edge_removed(self):
+        # (1, 0) is tight on the facet y >= 0 but is no vertex.
+        p = fx.Polytope([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])
+        assert p.removed_points == (pt(1, 0),)
+        assert p.facets() == fx.Polytope(p.vertices).facets()
+        bottom = next(f for f in p.facets() if f.functional.coeffs == (0, -1))
+        assert bottom.tight_vertices == (0, 1)
+
+    def test_lower_dimensional_with_non_extreme_first_point(self):
+        # A parallelogram in the plane z = x + y, listed after its center.
+        points = [(1, 1, 2), (0, 0, 0), (2, 0, 2), (0, 2, 2), (2, 2, 4)]
+        p = fx.Polytope(points)
+        assert p.removed_points == (pt(1, 1, 2),)
+        reference = fx.Polytope(p.vertices)
+        assert p.hull_manifold() == reference.hull_manifold()
+        assert p.hull_manifold().base == pt(0, 0, 0)
+        assert p.facets() == reference.facets()
+
+    def test_single_repeated_point(self):
+        p = fx.Polytope([(1, 2), (1, 2), (1, 2)])
+        assert p.vertices == (pt(1, 2),)
+        assert p.removed_points == (pt(1, 2), pt(1, 2))
+        assert p.dim == 0
+        assert p.facets() == ()
+        assert [f.vertex_indices for f in p.all_faces()] == [(0,)]
 
 
 class TestFacets:
@@ -64,6 +97,56 @@ class TestFacets:
             for facet in polytope.facets():
                 span = fx.affine_hull([polytope.vertices[i] for i in facet.tight_vertices])
                 assert span.dim == polytope.dim - 1
+
+
+def _euler_poincare_holds(polytope: fx.Polytope) -> bool:
+    """sum over k < d of (-1)^k f_k equals 1 - (-1)^d."""
+    d = polytope.dim
+    f = [0] * d
+    for face in polytope.proper_faces():
+        f[fx.affine_hull(polytope.face_points(face)).dim] += 1
+    return sum((-1) ** k * f_k for k, f_k in enumerate(f)) == 1 - (-1) ** d
+
+
+class TestWorkBounds:
+    """Facet enumeration costs d + 1 nullspace solves however many points
+    there are: a count, so it pins the work without timing anything."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        original = facelex.polytope.nullspace_basis
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(facelex.polytope, "nullspace_basis", counting)
+        return calls
+
+    def test_five_cube(self, solves):
+        p = fx.Polytope(list(itertools.product((0, 1), repeat=5)))
+        assert len(p.facets()) == 10
+        assert len(solves) <= 6  # the subset loop made C(32, 5) = 201,376
+        assert len(p.all_faces()) == 3**5
+
+    def test_five_cross_polytope(self, solves):
+        points = [tuple(s if j == i else 0 for j in range(5)) for i in range(5) for s in (1, -1)]
+        p = fx.Polytope(points)
+        assert len(p.facets()) == 2**5
+        assert len(solves) <= 6
+        assert len(p.all_faces()) == 3**5
+
+    def test_random_cloud(self, solves):
+        rng = random.Random(0)
+        points = [pt(*(rng.randint(-50, 50) for _ in range(3))) for _ in range(40)]
+        p = fx.Polytope(points)
+        facets = p.facets()
+        assert len(solves) <= 4
+        assert all(f.slack(x) >= 0 for f in facets for x in points)
+        assert all(p.contains(x) for x in p.removed_points)
+        assert len(p.vertices) + len(p.removed_points) == len(points)
+        assert _euler_poincare_holds(p)
 
 
 class TestContains:
