@@ -68,7 +68,7 @@ from .oracle import (
 )
 from .polytope import FaceDescriptor, Facet, Polytope
 from .preorder import ComparisonResult, LexPreorder, lex_preorder
-from .stepaffine import Cortege, Region, StepAffineFunction, validate_cortege
+from .stepaffine import Cortege, Region, StepAffineFunction
 
 __version__ = "0.1.0"
 
@@ -130,6 +130,5 @@ __all__ = [
     "origin",
     "parse_rational",
     "solve_affine_zero_set",
-    "validate_cortege",
     "verify_certificate",
 ]

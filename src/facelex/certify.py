@@ -11,7 +11,6 @@ vertex checks propagate to the whole polytope.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,13 +18,7 @@ from .core import AffineFunctional, Point
 from .errors import EmptyFaceError, ImproperFaceError, NotAFaceError
 from .polytope import FaceDescriptor, Facet, Polytope
 from .preorder import LexPreorder
-from .sampling import sample_in_hull
-from .stepaffine import Cortege, Region, StepAffineFunction
-
-# Seed for the sampled leg of equivalence reports; fixed for reproducibility.
-_EQUIVALENCE_SAMPLE_SEED = 0x5EED
-_EQUIVALENCE_SAMPLES_BODY = 50
-_EQUIVALENCE_SAMPLES_FACE = 20
+from .stepaffine import Cortege, StepAffineFunction
 
 
 @dataclass(frozen=True)
@@ -70,7 +63,8 @@ class EquivalenceReport:
     """Outcome of the four face characterizations run side by side.
 
     ``a``: direct face test; ``b``: sign split of the certificate function
-    separates the face from the rest of the body; ``c``: the induced
+    separates the face from the rest of the body, decided exactly on the
+    vertices (see :func:`_sign_split_leg`); ``c``: the induced
     lexicographic preorder minimizes exactly on the face; ``d``: a
     certificate was produced and verified.  For non-faces b and c are
     skipped (None) and consistency means a is false and d failed.
@@ -223,10 +217,12 @@ def equivalence_report(polytope: Polytope, face: FaceDescriptor) -> EquivalenceR
         )
     leg_d = verify_certificate(polytope, face, result).accepted
 
-    u = result.step_function()
-    leg_b = _sign_split_leg(polytope, face, u)
+    # certify() always returns a rank-1 certificate; the unpacking enforces
+    # it, because leg (b)'s vertex argument holds only for an affine u.
+    (functional,) = result.cortege.functionals
+    leg_b = _sign_split_leg(polytope, face, functional)
 
-    linear_part, _anchor = u.decompose()
+    linear_part, _anchor = result.step_function().decompose()
     preorder = LexPreorder(linear_part.cortege.linear_parts())
     leg_c = preorder.min_set(polytope) == face
 
@@ -236,29 +232,20 @@ def equivalence_report(polytope: Polytope, face: FaceDescriptor) -> EquivalenceR
     )
 
 
-def _sign_split_leg(polytope: Polytope, face: FaceDescriptor, u: StepAffineFunction) -> bool:
-    """Zero manifold picks out exactly the face; the rest is strictly positive.
+def _sign_split_leg(polytope: Polytope, face: FaceDescriptor, u: AffineFunctional) -> bool:
+    """Zero set of u is exactly the face; the rest of the body is strictly positive.
 
-    Checked exactly on every vertex, then on seeded samples from the body
-    and from the face hull, where the sign must match hull membership.
+    Decided exactly on the vertices: u vanishes on the face's vertices and
+    is positive on all others.  That settles every point of the body,
+    because u is affine.  Any x in the polytope is a convex combination
+    sum(l_v * v) of the vertices, so u(x) = sum(l_v * u(v)) >= 0.  If
+    u(x) = 0, every l_v off the face is zero, so x lies in the face's hull;
+    conversely a combination of face vertices has u = 0.  The argument
+    needs u affine: a rank >= 2 step-affine function is not, which is why
+    the leg takes a single functional.
     """
     members = face.as_set()
-    for index, vertex in enumerate(polytope.vertices):
-        region = u.classify(vertex)
-        expected = Region.ZERO_MANIFOLD if index in members else Region.POSITIVE_SIDE
-        if region is not expected:
-            return False
-    rng = random.Random(_EQUIVALENCE_SAMPLE_SEED)
-    face_hull = polytope.face_polytope(face)
-    samples = [
-        sample_in_hull(rng, polytope.vertices) for _ in range(_EQUIVALENCE_SAMPLES_BODY)
-    ] + [
-        sample_in_hull(rng, face_hull.vertices) for _ in range(_EQUIVALENCE_SAMPLES_FACE)
-    ]
-    for point in samples:
-        value = u.evaluate(point)
-        if value < 0:
-            return False
-        if (value == 0) != face_hull.contains(point):
-            return False
-    return True
+    return all(
+        u(vertex) == 0 if index in members else u(vertex) > 0
+        for index, vertex in enumerate(polytope.vertices)
+    )

@@ -278,13 +278,13 @@ def _cross(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 def _ccw_sort_key(v: Sequence[Fraction]):
     """Total order on primitive directions by counterclockwise angle from +x."""
     half = 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-    return half, _AngleWithin(half, (v[0], v[1]))
+    return half, _AngleWithin((v[0], v[1]))
 
 
 class _AngleWithin:
     """Comparison helper: within one half-turn, cross product orders angles."""
 
-    def __init__(self, half: int, vec: tuple[Fraction, Fraction]):
+    def __init__(self, vec: tuple[Fraction, Fraction]):
         self.vec = vec
 
     def __lt__(self, other: "_AngleWithin") -> bool:
@@ -314,6 +314,10 @@ def _direction_between(start: Sequence[Fraction], end: Sequence[Fraction]) -> tu
 
 # -- the body ---------------------------------------------------------------
 
+# Cache marker for DiskBody._hull_polygon before the first computation;
+# None is a valid result (no tangency polygon), so it cannot mark absence.
+_UNSET = object()
+
 
 class DiskBody:
     """Convex hull of finitely many rational disks and points in the plane."""
@@ -334,8 +338,7 @@ class DiskBody:
         self._lock = threading.Lock()
         self._edges: tuple[Edge, ...] | None = None
         self._faces: tuple[DiskFace, ...] | None = None
-        self._hull_polygon: Polytope | None = None
-        self._hull_polygon_ready = False
+        self._hull_polygon: object = _UNSET
 
     @property
     def disks(self) -> tuple[Disk, ...]:
@@ -532,8 +535,8 @@ class DiskBody:
 
     def _polygon(self) -> Polytope | None:
         with self._lock:
-            if self._hull_polygon_ready:
-                return self._hull_polygon
+            if self._hull_polygon is not _UNSET:
+                return self._hull_polygon  # type: ignore[return-value]
         corners: list[Point] = []
         for edge in self.edges():
             corners.extend(edge.endpoints)
@@ -546,7 +549,6 @@ class DiskBody:
             polygon = Polytope(corners)
         with self._lock:
             self._hull_polygon = polygon
-            self._hull_polygon_ready = True
         return polygon
 
     def contains(self, p: Point) -> bool:

@@ -280,13 +280,14 @@ def disk_face_from_json(body: DiskBody, doc: Any) -> DiskFace:
     if kind == "arc_point":
         direction = LinearFunctional(_rationals_from(doc.get("direction"), "'direction'"))
         disk = doc.get("disk")
-        if not isinstance(disk, int) or not 0 <= disk < len(body.disks):
+        # type() rather than isinstance(): JSON true/false are ints to Python.
+        if type(disk) is not int or not 0 <= disk < len(body.disks):
             raise _fail(f"bad disk index {disk!r}")
         return ArcPoint(disk=disk, direction=direction)
     if kind == "tangency_point":
         edge = _edge_from_json(body, doc.get("edge"))
         end = doc.get("end")
-        if end not in (0, 1):
+        if type(end) is not int or end not in (0, 1):
             raise _fail("tangency point 'end' must be 0 or 1")
         return TangencyPoint(edge=edge, end=end)
     if kind == "arc_family":

@@ -77,18 +77,6 @@ class LexPreorder:
         return FaceDescriptor(tuple(survivors))
 
 
-def compare(preorder: LexPreorder, x: Point, y: Point) -> ComparisonResult:
-    return preorder.compare(x, y)
-
-
-def in_positive_cone(preorder: LexPreorder, x: Point) -> bool:
-    return preorder.in_positive_cone(x)
-
-
-def min_set(polytope: Polytope, preorder: LexPreorder) -> FaceDescriptor:
-    return preorder.min_set(polytope)
-
-
 def lex_preorder(levels: Sequence[Sequence]) -> LexPreorder:
     """Convenience constructor from raw coefficient rows."""
     return LexPreorder(tuple(LinearFunctional(tuple(row)) for row in levels))

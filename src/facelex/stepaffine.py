@@ -77,11 +77,6 @@ class Cortege:
         return tuple(f.linear for f in self.functionals)
 
 
-def validate_cortege(functionals: Sequence[AffineFunctional]) -> Cortege:
-    """Validate an ordered functional family; raises InvalidCortegeError."""
-    return Cortege(tuple(functionals))
-
-
 @dataclass(frozen=True)
 class StepAffineFunction:
     """The step-affine function induced by a cortege."""

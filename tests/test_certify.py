@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 
 import facelex as fx
+from facelex.sampling import sample_in_hull
 from helpers import af, assert_witness_valid, pt
 
 
@@ -174,3 +176,28 @@ class TestEquivalenceReport:
             assert isinstance(result, fx.NotAFace)
             assert_witness_valid(cube3, candidate, result)
             checked += 1
+
+    def test_sign_split_leg_decided_on_vertices(self, fixture_polytopes, monkeypatch):
+        """Leg (b) needs no sampling: the report's only membership tests are
+        the smallest-face queries in certify and is_face."""
+        calls = 0
+        contains = fx.Polytope.contains
+
+        def counting_contains(self, x):
+            nonlocal calls
+            calls += 1
+            return contains(self, x)
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("equivalence_report drew a sample")
+
+        monkeypatch.setattr(fx.Polytope, "contains", counting_contains)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("facelex") and getattr(module, "sample_in_hull", None) is sample_in_hull:
+                monkeypatch.setattr(module, "sample_in_hull", no_sampling)
+        for polytope in fixture_polytopes.values():
+            for face in polytope.proper_faces():
+                calls = 0
+                report = fx.equivalence_report(polytope, face)
+                assert (report.a, report.b, report.c, report.d) == (True, True, True, True)
+                assert calls <= 2, (face, calls)

@@ -45,6 +45,8 @@ def files(tmp_path_factory):
         if isinstance(f, fx.TangencyPoint) and f.point.coords == (fx.Rational(9, 5), fx.Rational(12, 5))
     )
     write("tangency.json", jsonio.disk_face_to_json(tangency))
+    write("tangency_end_true.json", {**jsonio.disk_face_to_json(tangency), "end": True})
+    write("arc_point_disk_true.json", {"kind": "arc_point", "disk": True, "direction": ["1", "0"]})
     write("broken.json", {"vertices": "nope"})
     write("coeffs_number.json", {"functionals": [{"coeffs": 5}]})
     write("coeffs_string.json", {"functionals": [{"coeffs": "12", "offset": "0"}]})
@@ -182,6 +184,12 @@ class TestErrorPaths:
         result = run_cli(
             "diskhull-certify", "--input", files["cone.json"], "--face", files["tangency_no_edge.json"]
         )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("name", ["arc_point_disk_true.json", "tangency_end_true.json"])
+    def test_boolean_disk_face_index(self, files, name):
+        result = run_cli("diskhull-certify", "--input", files["cone.json"], "--face", files[name])
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
 

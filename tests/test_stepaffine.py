@@ -9,34 +9,34 @@ from helpers import af, lf, literal_first_nonzero, pt, random_cortege, step
 
 class TestValidation:
     def test_independent_pair_is_valid(self):
-        cortege = fx.validate_cortege([af([1, 1]), af([1, -1])])
+        cortege = fx.Cortege((af([1, 1]), af([1, -1])))
         assert cortege.rank == 2
 
     def test_constant_on_manifold_with_offset(self):
         # On {x = 0} the second functional is identically 1.
         with pytest.raises(fx.InvalidCortegeError) as err:
-            fx.validate_cortege([af([1, 0]), af([2, 0], 1)])
+            fx.Cortege((af([1, 0]), af([2, 0], 1)))
         assert err.value.reason == "constant_on_manifold"
         assert err.value.index == 2
 
     def test_dependent_linear_part(self):
         with pytest.raises(fx.InvalidCortegeError) as err:
-            fx.validate_cortege([af([1, 0]), af([1, 0], -1)])
+            fx.Cortege((af([1, 0]), af([1, 0], -1)))
         assert err.value.reason == "constant_on_manifold"
         assert err.value.index == 2
 
     def test_zero_first_level(self):
         with pytest.raises(fx.InvalidCortegeError) as err:
-            fx.validate_cortege([af([0, 0], 1)])
+            fx.Cortege((af([0, 0], 1),))
         assert err.value.index == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fx.validate_cortege([])
+            fx.Cortege(())
 
     def test_rank_bounded_by_dimension(self):
         with pytest.raises(fx.InvalidCortegeError):
-            fx.validate_cortege([af([1, 0]), af([0, 1]), af([1, 1])])
+            fx.Cortege((af([1, 0]), af([0, 1]), af([1, 1])))
 
 
 class TestEvaluation:
