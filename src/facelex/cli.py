@@ -4,7 +4,7 @@ Reads polytope / disk-body / cortege / preorder JSON, runs one operation,
 and writes a single canonical JSON document to stdout (or --out).  Exit
 codes: 0 success or accepted, 1 expected mathematical negative (not a
 face), 2 usage or format error, 3 cross-check disagreement or an
-inconsistent equivalence report.
+inconsistent equivalence report, 4 internal error (a bug, never an answer).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CROSS_CHECK = 3
+EXIT_INTERNAL = 4
 
 _CROSS_CHECK_TRIALS = 2000
 
@@ -248,6 +249,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # Anything else is a bug; exit 1 would read as "not a face".
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -50,28 +50,20 @@ def exact_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
-def _square_free(n: int) -> tuple[int, int]:
-    """Split n > 0 as k*k * m with m square-free; returns (k, m)."""
-    k, m = 1, n
-    d = 2
-    while d * d <= m:
-        while m % (d * d) == 0:
-            m //= d * d
-            k *= d
-        d += 1
-    return k, m
-
-
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadScalar:
     """An exact value ``rational + coeff * sqrt(radicand)``.
 
-    Construction canonicalizes: the radicand is reduced to a square-free
-    integer, and degenerate forms (zero coefficient, zero or square
-    radicand) collapse to plain rationals.  Two values can be combined or
-    compared only when their canonical radicands agree (or one side is
-    rational); that is exactly the invariant the disk geometry maintains.
+    Construction rewrites a rational radicand p/q as the integer p*q (and
+    divides the coefficient by q), and collapses degenerate forms (zero
+    coefficient, zero or perfect-square radicand) to plain rationals.  An
+    irrational value therefore has a positive non-square integer radicand,
+    not necessarily square-free: no factoring is done.  Two values combine
+    and compare by value when their radicands are compatible (equal, one
+    side rational, or with a perfect-square product, as 8 and 2); that is
+    exactly the invariant the disk geometry maintains.  Combining others
+    raises ``ValueError``; comparing them for equality gives False.
     """
 
     rational: Fraction
@@ -85,16 +77,16 @@ class QuadScalar:
         if s < 0:
             raise ValueError("negative radicand")
         if b != 0 and s != 0:
-            # sqrt(p/q) = sqrt(p*q)/q, then pull the square part out.
+            # sqrt(p/q) = sqrt(p*q)/q; a perfect square p*q collapses.
             n = s.numerator * s.denominator
             b = b / s.denominator
-            k, m = _square_free(n)
-            b *= k
-            s = Fraction(m)
-            if m == 1:
-                a += b
+            root = math.isqrt(n)
+            if root * root == n:
+                a += b * root
                 b = Fraction(0)
                 s = Fraction(0)
+            else:
+                s = Fraction(n)
         else:
             b = Fraction(0)
             s = Fraction(0)
@@ -131,16 +123,41 @@ class QuadScalar:
             return 1 if a > 0 else -1
         return 1 if b > 0 else -1
 
-    def _merge_radicand(self, other: QuadScalar) -> Fraction:
-        if self.coeff != 0 and other.coeff != 0 and self.radicand != other.radicand:
+    def _common_radicand(self, other: QuadScalar) -> tuple[Fraction, Fraction, Fraction]:
+        """``(s, b, d)`` with self = a + b*sqrt(s) and other = c + d*sqrt(s).
+
+        Radicands s != t are compatible exactly when s*t is a perfect square
+        r*r, and then d*sqrt(t) = (d*r/s)*sqrt(s).
+        """
+        s, t = self.radicand, other.radicand
+        if other.coeff == 0 or s == t:
+            return s, self.coeff, other.coeff
+        if self.coeff == 0:
+            return t, self.coeff, other.coeff
+        n = s.numerator * t.numerator
+        root = math.isqrt(n)
+        if root * root != n:
             raise ValueError("mixed radicands")
-        return self.radicand if self.coeff != 0 else other.radicand
+        return s, self.coeff, other.coeff * root / s
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QuadScalar):
+            return NotImplemented
+        try:
+            _, b, d = self._common_radicand(other)
+        except ValueError:
+            return False
+        return self.rational == other.rational and b == d
+
+    def __hash__(self) -> int:
+        # Equal values have equal rational parts, whatever their radicands.
+        return hash(self.rational)
 
     def __add__(self, other: QuadScalar | Fraction | int) -> QuadScalar:
         if not isinstance(other, QuadScalar):
             other = QuadScalar.of(other)
-        s = self._merge_radicand(other)
-        return QuadScalar(self.rational + other.rational, self.coeff + other.coeff, s)
+        s, b, d = self._common_radicand(other)
+        return QuadScalar(self.rational + other.rational, b + d, s)
 
     def __radd__(self, other: Fraction | int) -> QuadScalar:
         return self + other
@@ -159,9 +176,9 @@ class QuadScalar:
     def __mul__(self, other: QuadScalar | Fraction | int) -> QuadScalar:
         if not isinstance(other, QuadScalar):
             other = QuadScalar.of(other)
-        s = self._merge_radicand(other)
-        rational = self.rational * other.rational + self.coeff * other.coeff * s
-        coeff = self.rational * other.coeff + self.coeff * other.rational
+        s, b, d = self._common_radicand(other)
+        rational = self.rational * other.rational + b * d * s
+        coeff = self.rational * d + b * other.rational
         return QuadScalar(rational, coeff, s)
 
     def __rmul__(self, other: Fraction | int) -> QuadScalar:

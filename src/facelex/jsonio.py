@@ -102,7 +102,8 @@ def face_from_json(doc: Any) -> FaceDescriptor:
     if not isinstance(doc, dict) or "vertex_indices" not in doc:
         raise _fail("a face document needs a 'vertex_indices' key")
     indices = doc["vertex_indices"]
-    if not isinstance(indices, list) or not all(isinstance(i, int) for i in indices):
+    # type() rather than isinstance(): JSON true/false are ints to Python.
+    if not isinstance(indices, list) or not all(type(i) is int for i in indices):
         raise _fail("'vertex_indices' must be a list of integers")
     return FaceDescriptor(tuple(indices))
 
@@ -294,10 +295,10 @@ def disk_face_from_json(body: DiskBody, doc: Any) -> DiskFace:
         rep = doc.get("representative")
         if rep is None:
             raise _fail("arc family documents need a 'representative'")
-        inner = disk_face_from_json(body, rep)
-        if not isinstance(inner, ArcPoint):
+        # Checked before recursing, so nesting cannot exhaust the stack.
+        if not isinstance(rep, dict) or rep.get("kind") != "arc_point":
             raise _fail("arc family representative must be an arc point")
-        return inner
+        return disk_face_from_json(body, rep)
     raise _fail(f"unknown disk face kind {kind!r}")
 
 
@@ -306,3 +307,5 @@ def load_document(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _fail(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _fail("malformed JSON: nested too deeply") from exc

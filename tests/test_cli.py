@@ -51,8 +51,13 @@ def files(tmp_path_factory):
     write("coeffs_number.json", {"functionals": [{"coeffs": 5}]})
     write("coeffs_string.json", {"functionals": [{"coeffs": "12", "offset": "0"}]})
     write("tangency_no_edge.json", {"kind": "tangency_point", "end": 0})
+    arc_point = {"kind": "arc_point", "disk": 0, "direction": ["1", "0"]}
+    write("nested_arc_family.json", {"kind": "arc_family", "representative": {
+        "kind": "arc_family", "representative": arc_point}})
     (root / "not_json.json").write_text("{oops", encoding="utf-8")
     paths["not_json.json"] = str(root / "not_json.json")
+    (root / "deep.json").write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    paths["deep.json"] = str(root / "deep.json")
     return paths
 
 
@@ -190,6 +195,39 @@ class TestErrorPaths:
     @pytest.mark.parametrize("name", ["arc_point_disk_true.json", "tangency_end_true.json"])
     def test_boolean_disk_face_index(self, files, name):
         result = run_cli("diskhull-certify", "--input", files["cone.json"], "--face", files[name])
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("flag", ["true", "0,True"])
+    def test_boolean_face_index(self, files, flag):
+        # The CLI reads vertex indices only from --face; no subcommand reads
+        # a certificate document or its chain entries.
+        result = run_cli("chain", "--input", files["square.json"], "--face", flag)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+    def test_internal_error_exits_4(self, files, monkeypatch, capsys):
+        from facelex import cli
+
+        def broken(args):
+            raise RuntimeError("simulated bug")
+
+        monkeypatch.setitem(cli._RUNNERS, "faces", broken)
+        assert cli.main(["faces", "--input", files["square.json"]]) == cli.EXIT_INTERNAL == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal error" in captured.err and "simulated bug" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_deeply_nested_json(self, files):
+        result = run_cli("faces", "--input", files["deep.json"])
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+    def test_nested_arc_family_representative(self, files):
+        result = run_cli(
+            "diskhull-certify", "--input", files["cone.json"], "--face", files["nested_arc_family.json"]
+        )
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from helpers import disk_body_samples, lf, pt
 
 small_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=24)
 radicands = st.integers(min_value=0, max_value=60)
+square_free = [m for m in range(2, 80) if all(m % (p * p) for p in range(2, 9))]
 
 
 def bracket_sign(q: fx.QuadScalar) -> int:
@@ -18,7 +20,7 @@ def bracket_sign(q: fx.QuadScalar) -> int:
     if q.coeff == 0:
         return (q.rational > 0) - (q.rational < 0)
     s = q.radicand
-    assert s.denominator == 1  # canonical radicand is a square-free integer
+    assert s.denominator == 1  # canonical radicand is an integer
     scale = 10**12
     lo = Fraction(math.isqrt(s.numerator * scale * scale), scale)
     hi = lo + Fraction(1, scale)
@@ -67,6 +69,30 @@ class TestQuadScalar:
         assert x * y == y * x
 
 
+    @given(
+        a=small_rationals,
+        b=small_rationals,
+        k=st.integers(min_value=1, max_value=12),
+        m=st.sampled_from(square_free),
+        c=small_rationals,
+        d=small_rationals,
+    )
+    def test_unreduced_radicand_has_value_semantics(self, a, b, k, m, c, d):
+        x = fx.QuadScalar(a, b, Fraction(k * k * m))
+        y = fx.QuadScalar(a, b * k, Fraction(m))
+        z = fx.QuadScalar(c, d, Fraction(m))
+        assert x == y
+        assert hash(x) == hash(y)
+        assert x + z == y + z and z + x == z + y
+        assert x * z == y * z and z * x == z * y
+        for q in (x, y, x + z, x * z, z * x):
+            assert q.sign() == bracket_sign(q)
+
+    def test_incompatible_radicands_compare_unequal(self):
+        assert (fx.QuadScalar(0, 1, Fraction(2)) == fx.QuadScalar(0, 1, Fraction(3))) is False
+        assert fx.QuadScalar(0, 1, Fraction(2)) != fx.QuadScalar(0, 1, Fraction(3))
+
+
 class TestSupportMin:
     def test_axis_direction_hits_disk(self, cone_body):
         value, face = cone_body.support_min(lf(1, 0))
@@ -87,6 +113,18 @@ class TestSupportMin:
         value, face = cone_body.support_min(lf(-3, -4))
         assert isinstance(face, fx.Edge)
         assert value.as_rational() == -15
+
+    @pytest.mark.parametrize("coeffs", [(10**10 + 19, 1), (10**40 + 7, 3)])
+    def test_large_direction_is_fast(self, cone_body, coeffs):
+        direction = lf(*coeffs)
+        start = time.perf_counter()
+        value, face = cone_body.support_min(direction)
+        elapsed = time.perf_counter() - start
+        assert isinstance(face, fx.ArcPoint) and face.disk == 0
+        disk = cone_body.disks[face.disk]
+        norm_sq = Fraction(sum(c * c for c in coeffs))
+        assert value == fx.QuadScalar(direction(disk.center), -disk.radius, norm_sq)
+        assert elapsed < 1.0
 
     def test_zero_functional_rejected(self, cone_body):
         with pytest.raises(fx.ZeroFunctionalError):

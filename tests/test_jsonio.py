@@ -97,9 +97,39 @@ class TestParseErrors:
         with pytest.raises(fx.FormatError):
             builder(doc)
 
+    @pytest.mark.parametrize(
+        "builder,doc",
+        [
+            (jsonio.face_from_json, {"vertex_indices": [True]}),
+            (jsonio.face_from_json, {"vertex_indices": [0, False]}),
+            (
+                jsonio.certificate_from_json,
+                {"cortege": {"functionals": [{"coeffs": ["1", "0"]}]}, "chain": [[0, 1], [True]]},
+            ),
+        ],
+    )
+    def test_boolean_vertex_index_rejected(self, builder, doc):
+        # JSON true/false are ints to Python; they must not pass as indices.
+        with pytest.raises(fx.FormatError):
+            builder(doc)
+
     def test_malformed_json_text(self):
         with pytest.raises(fx.FormatError):
             jsonio.load_document("{not json")
+
+    def test_deeply_nested_json_text(self):
+        with pytest.raises(fx.FormatError):
+            jsonio.load_document("[" * 100000 + "]" * 100000)
+
+    def test_arc_family_representative_must_be_arc_point(self):
+        arc_point = {"kind": "arc_point", "disk": 0, "direction": ["1", "0"]}
+        nested = {"kind": "arc_family", "representative": {"kind": "arc_family", "representative": arc_point}}
+        with pytest.raises(fx.FormatError):
+            jsonio.disk_face_from_json(cone_body(), nested)
+        flat = {"kind": "arc_family", "representative": arc_point}
+        assert jsonio.disk_face_from_json(cone_body(), flat) == fx.ArcPoint(
+            disk=0, direction=fx.LinearFunctional((Fraction(1), Fraction(0)))
+        )
 
     def test_float_rationals_rejected(self):
         with pytest.raises(fx.FormatError):
