@@ -51,7 +51,6 @@ from .errors import (
     FormatError,
     ImproperFaceError,
     InvalidCortegeError,
-    IrregularFunctionError,
     NotAFaceError,
     NotAMemberError,
     SizeGuardExceededError,
@@ -94,7 +93,6 @@ __all__ = [
     "FormatError",
     "ImproperFaceError",
     "InvalidCortegeError",
-    "IrregularFunctionError",
     "LexPreorder",
     "LinearFunctional",
     "NotAFace",

@@ -86,10 +86,6 @@ def _check_proper(polytope: Polytope, face: FaceDescriptor) -> None:
         raise ImproperFaceError("the whole polytope is not a proper face")
 
 
-def _tight_facets_at(polytope: Polytope, point: Point) -> list[Facet]:
-    return [f for f in polytope.facets() if f.is_tight_at(point)]
-
-
 def _slack_functional(facet: Facet) -> AffineFunctional:
     """The facet slack ``offset - functional(x)`` as an affine functional."""
     return AffineFunctional(-facet.functional, facet.offset)
@@ -98,18 +94,25 @@ def _slack_functional(facet: Facet) -> AffineFunctional:
 def certify(polytope: Polytope, face: FaceDescriptor) -> FaceCertificate | NotAFace:
     """Rank-1 certificate for a face, or a violation witness for a non-face.
 
+    Both branches start from the vertex-facet incidences.  A facet is tight
+    at the candidate's barycenter b exactly when it is tight at every
+    candidate vertex, since its slack is affine and nonnegative on the
+    vertices; so the smallest face containing b is the intersection of the
+    facet tight sets containing the candidate, and the candidate is a face
+    exactly when that intersection is the candidate itself.
+
     For a face, the certificate function is the unweighted sum of the
-    slacks of all facets tight at the candidate's barycenter: nonnegative
-    on the polytope and zero exactly on the face.  For a non-face, the
-    witness pairs a vertex w of the barycenter's true smallest face (not in
-    the candidate) with a point z past the barycenter along b - w, stepped
-    by ratio tests against that face's facets and halved once whenever the
-    step would land on its boundary.
+    slacks of those facets: nonnegative on the polytope and zero exactly on
+    the intersection of their tight sets, which is the face.  For a
+    non-face, the witness pairs a vertex w of b's true smallest face (not
+    in the candidate) with a point z past b along b - w, stepped by ratio
+    tests against that face's facets and halved once whenever the step
+    would land on its boundary; only this branch computes b.
     """
     _check_proper(polytope, face)
-    b = polytope.barycenter_of(face)
-    smallest = polytope.smallest_face_containing(b)
+    smallest = polytope._closure(face)
     if smallest != face:
+        b = polytope.barycenter_of(face)
         w_index = next(i for i in smallest.vertex_indices if i not in face.as_set())
         w = polytope.vertices[w_index]
         host = polytope.face_polytope(smallest)
@@ -129,7 +132,7 @@ def certify(polytope: Polytope, face: FaceDescriptor) -> FaceCertificate | NotAF
         z = b + direction.scaled(t)
         return NotAFace(witness=(w, z), smallest_face=smallest)
 
-    tight = _tight_facets_at(polytope, b)
+    tight = polytope._facets_through(face)
     linear = -tight[0].functional
     offset = tight[0].offset
     for facet in tight[1:]:
@@ -142,20 +145,22 @@ def certify(polytope: Polytope, face: FaceDescriptor) -> FaceCertificate | NotAF
 def chain_certificate(polytope: Polytope, face: FaceDescriptor) -> FaceCertificate:
     """Nested-face certificate built from the facets tight on the face.
 
-    Tight facets are processed in ascending normalized order; a facet is
-    skipped when the current chain element already lies on it (its slack is
-    identically zero there, so it cannot cut).  Every kept slack exposes
-    the next chain element inside the previous one, and the construction
-    stops once the chain reaches the face.
+    The facets tight on the face are those whose tight vertex set contains
+    it, read off the vertex-facet incidences with no arithmetic; since the
+    candidate is a face, their tight sets meet exactly in it.  They are
+    processed in ascending normalized order; a facet is skipped when the
+    current chain element already lies on it (its slack is identically zero
+    there, so it cannot cut).  Every kept slack exposes the next chain
+    element inside the previous one, and the construction stops once the
+    chain reaches the face.
     """
     _check_proper(polytope, face)
     if not polytope.is_face(face):
         raise NotAFaceError(f"{face.vertex_indices} is not a face")
-    b = polytope.barycenter_of(face)
     chain = [polytope.all_indices()]
     functionals: list[AffineFunctional] = []
     current = chain[0].as_set()
-    for facet in _tight_facets_at(polytope, b):
+    for facet in polytope._facets_through(face):
         tight_set = frozenset(facet.tight_vertices)
         if current <= tight_set:
             continue
@@ -222,8 +227,7 @@ def equivalence_report(polytope: Polytope, face: FaceDescriptor) -> EquivalenceR
     (functional,) = result.cortege.functionals
     leg_b = _sign_split_leg(polytope, face, functional)
 
-    linear_part, _anchor = result.step_function().decompose()
-    preorder = LexPreorder(linear_part.cortege.linear_parts())
+    preorder = LexPreorder(result.cortege.linear_parts())
     leg_c = preorder.min_set(polytope) == face
 
     consistent = leg_a and leg_b and leg_c and leg_d

@@ -63,7 +63,9 @@ class QuadScalar:
     and compare by value when their radicands are compatible (equal, one
     side rational, or with a perfect-square product, as 8 and 2); that is
     exactly the invariant the disk geometry maintains.  Combining others
-    raises ``ValueError``; comparing them for equality gives False.
+    raises ``ValueError``; comparing them for equality gives False.  A
+    plain ``Fraction`` or ``int`` combines, orders and compares equal as
+    the rational value it is, so ``<=`` and ``>=`` agree at equality.
     """
 
     rational: Fraction
@@ -141,7 +143,9 @@ class QuadScalar:
         return s, self.coeff, other.coeff * root / s
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuadScalar):
+        if isinstance(other, (Fraction, int)):
+            other = QuadScalar.of(other)
+        elif not isinstance(other, QuadScalar):
             return NotImplemented
         try:
             _, b, d = self._common_radicand(other)

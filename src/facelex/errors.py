@@ -30,19 +30,17 @@ class NotAFaceError(FaceLexError):
 class InvalidCortegeError(FaceLexError):
     """An ordered functional family violating the cortege conditions.
 
-    ``reason`` is ``"empty_manifold"`` (the zero set of the preceding levels
-    is empty) or ``"constant_on_manifold"`` (the level is constant on that
-    zero set).  ``index`` is the 1-based position of the first bad level.
+    ``reason`` is ``"constant_on_manifold"``: the level is constant on the
+    zero set of the preceding levels, because its linear part is zero or
+    lies in the span of theirs.  That zero set is never empty before the
+    first bad level (see :class:`facelex.Cortege`).  ``index`` is the
+    1-based position of the first bad level.
     """
 
     def __init__(self, reason: str, index: int) -> None:
         super().__init__(f"invalid cortege at level {index}: {reason}")
         self.reason = reason
         self.index = index
-
-
-class IrregularFunctionError(FaceLexError):
-    """A step-affine function whose zero set is empty."""
 
 
 class ZeroFunctionalError(FaceLexError):

@@ -207,6 +207,20 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def _mask(indices: Iterable[int]) -> int:
+    return sum(1 << i for i in indices)
+
+
+def _indices(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 class Polytope:
     """A polytope given by its vertices, with exact face-lattice queries.
 
@@ -245,7 +259,7 @@ class Polytope:
             hull_facets = _hull_facets(pts)
             meets = [-1] * len(pts)
             for _functional, _offset, tight in hull_facets:
-                mask = sum(1 << i for i in tight)
+                mask = _mask(tight)
                 for i in tight:
                     meets[i] &= mask
             renumber = {}
@@ -265,6 +279,7 @@ class Polytope:
         self._ambient_dim = ambient
         self._lock = threading.Lock()
         self._facets = facets
+        self._masks = None if facets is None else tuple(_mask(f.tight_vertices) for f in facets)
         self._hull: AffineManifold | None = None
         self._faces: tuple[FaceDescriptor, ...] | None = None
         self._sub_polytopes: dict[FaceDescriptor, Polytope] = {}
@@ -349,7 +364,35 @@ class Polytope:
                     Facet(functional, offset, tight)
                     for functional, offset, tight in _hull_facets(self._vertices)
                 )
+                self._masks = tuple(_mask(f.tight_vertices) for f in self._facets)
             return self._facets
+
+    def _facet_masks(self) -> tuple[int, ...]:
+        """Tight vertex sets of :meth:`facets` as bitmasks, in facet order."""
+        self.facets()
+        return self._masks
+
+    def _facets_through(self, face: FaceDescriptor) -> list[Facet]:
+        """The facets tight on every vertex of the face, in facet order."""
+        mask = _mask(face.vertex_indices)
+        return [f for f, m in zip(self.facets(), self._facet_masks()) if m & mask == mask]
+
+    def _closure(self, face: FaceDescriptor) -> FaceDescriptor:
+        """Smallest face containing the vertex set, from the incidences alone.
+
+        A facet's slack is affine and nonnegative on the vertices, so it
+        vanishes at the barycenter of the set exactly when it vanishes at
+        every vertex of the set: the facets tight at the barycenter are the
+        facets whose tight set contains the set.  Their tight sets meet in
+        the smallest face containing the barycenter, or in the whole
+        polytope when there are none.
+        """
+        mask = _mask(face.vertex_indices)
+        closure = (1 << len(self._vertices)) - 1
+        for m in self._facet_masks():
+            if m & mask == mask:
+                closure &= m
+        return FaceDescriptor(_indices(closure))
 
     def contains(self, x: Point) -> bool:
         """Exact membership: x in aff(P) and every facet inequality holds."""
@@ -362,20 +405,18 @@ class Polytope:
         """Vertex set of the unique smallest face with x in its relative interior."""
         if not self.contains(x):
             raise NotAMemberError(f"point {x.coords} lies outside the polytope")
-        tight = [f for f in self.facets() if f.is_tight_at(x)]
-        if not tight:
-            return self.all_indices()
-        indices = frozenset(tight[0].tight_vertices)
-        for f in tight[1:]:
-            indices &= frozenset(f.tight_vertices)
-        return FaceDescriptor(tuple(indices))
+        closure = (1 << len(self._vertices)) - 1
+        for f, m in zip(self.facets(), self._facet_masks()):
+            if f.is_tight_at(x):
+                closure &= m
+        return FaceDescriptor(_indices(closure))
 
     # -- the face lattice ---------------------------------------------------
 
     def all_faces(self) -> tuple[FaceDescriptor, ...]:
         """Every nonempty face, as intersections of facet tight sets.
 
-        Computed as the intersection closure of the facet tight sets
+        Computed as the intersection closure of the facet tight-set masks
         together with the full vertex set; for a polytope every face is such
         an intersection, so the closure is the complete lattice minus the
         empty face.  Ordered by (size, indices) for reproducibility.
@@ -383,20 +424,20 @@ class Polytope:
         with self._lock:
             if self._faces is not None:
                 return self._faces
-        full = frozenset(range(len(self._vertices)))
-        tights = [frozenset(f.tight_vertices) for f in self.facets()]
+        full = (1 << len(self._vertices)) - 1
+        masks = self._facet_masks()
         seen = {full}
         queue = [full]
         while queue:
             current = queue.pop()
-            for t in tights:
+            for t in masks:
                 nxt = current & t
                 if nxt and nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
         faces = tuple(
-            FaceDescriptor(tuple(s))
-            for s in sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
+            FaceDescriptor(indices)
+            for indices in sorted((_indices(m) for m in seen), key=lambda t: (len(t), t))
         )
         with self._lock:
             self._faces = faces
@@ -405,13 +446,16 @@ class Polytope:
     def is_face(self, face: FaceDescriptor) -> bool:
         """Whether conv(face) is a face of the polytope.
 
-        Decided via the barycenter b of the candidate: b lies in the
-        relative interior of conv(face), so the smallest face containing b
-        equals the candidate exactly when the candidate is a face.
+        The barycenter b of the candidate lies in the relative interior of
+        conv(face), so the smallest face containing b equals the candidate
+        exactly when the candidate is a face.  That smallest face is read
+        off the vertex-facet incidences: a facet is tight at b exactly when
+        it is tight at every vertex of the candidate, so the face is the
+        intersection of the tight sets that contain the candidate (all
+        vertices when none does).  No coordinate is touched.
         """
         self._check_descriptor(face)
-        b = self.barycenter_of(face)
-        return self.smallest_face_containing(b) == face
+        return self._closure(face) == face
 
     def proper_faces(self) -> tuple[FaceDescriptor, ...]:
         full = self.all_indices()

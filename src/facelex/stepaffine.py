@@ -2,9 +2,11 @@
 
 A cortege is an ordered family of affine functionals where each level is
 genuinely new: the common zero set of the preceding levels is nonempty and
-the level is non-constant on it.  The induced step-affine function returns
-the value of the first level that does not vanish at the point (and the
-last level's value, i.e. zero, when all vanish).
+the level is non-constant on it; in finite dimension this holds exactly
+when the linear parts are nonzero and linearly independent.  The induced
+step-affine function returns the value of the first level that does not
+vanish at the point (and the last level's value, i.e. zero, when all
+vanish).
 """
 
 from __future__ import annotations
@@ -12,18 +14,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .core import (
     AffineFunctional,
     AffineManifold,
+    IncrementalSpan,
     LinearFunctional,
     Point,
     _require_same_dim,
     solve_affine_zero_set,
 )
-from .errors import InvalidCortegeError, IrregularFunctionError
+from .errors import InvalidCortegeError
 
 
 class Region(enum.Enum):
@@ -38,12 +40,21 @@ class Region(enum.Enum):
 class Cortege:
     """A validated ordered family of affine functionals.
 
-    Construction checks, level by level, that the zero set of the preceding
-    levels is nonempty and that the level is non-constant on it (for the
-    first level: the linear part is nonzero).  The first failing level is
-    reported via :class:`InvalidCortegeError` with a 1-based index.  A
-    consequence of validity is that the linear parts are linearly
-    independent, so the rank never exceeds the ambient dimension.
+    Level i is valid when the zero set of the preceding levels is nonempty
+    and the level is non-constant on it (for the first level: the linear
+    part is nonzero).  Construction checks this with one elimination pass
+    over the linear parts, because validity of levels 1..i is the same as
+    linear independence of their linear parts.  By induction on i: if the
+    linear parts of the earlier levels are independent, their system of
+    equations has full row rank, so their zero set is nonempty and its
+    directions are the common kernel of those linear parts.  Level i is
+    constant on that set exactly when its linear part vanishes on the
+    kernel, that is, lies in the span of the earlier linear parts (the zero
+    functional included).  So the zero set of a valid prefix is never empty,
+    and the first invalid level is the first whose linear part is zero or
+    dependent on the earlier ones.  It is reported via
+    :class:`InvalidCortegeError` with reason ``"constant_on_manifold"`` and
+    a 1-based index.  The rank never exceeds the ambient dimension.
     """
 
     functionals: tuple[AffineFunctional, ...]
@@ -55,11 +66,9 @@ class Cortege:
         dim = self.functionals[0].dim
         for f in self.functionals[1:]:
             _require_same_dim(dim, f.dim)
+        span = IncrementalSpan(dim)
         for index, f in enumerate(self.functionals, start=1):
-            manifold = solve_affine_zero_set(self.functionals[: index - 1], dim)
-            if manifold is None:
-                raise InvalidCortegeError("empty_manifold", index)
-            if all(f.linear(d) == 0 for d in manifold.directions):
+            if not span.add(f.linear.coeffs):
                 raise InvalidCortegeError("constant_on_manifold", index)
 
     @property
@@ -111,23 +120,18 @@ class StepAffineFunction:
     def __call__(self, x: Point) -> Fraction:
         return self.evaluate(x)
 
-    @cached_property
-    def _zero_manifold(self) -> AffineManifold | None:
-        return solve_affine_zero_set(self.cortege.functionals, self.dim)
+    def zero_set(self) -> AffineManifold:
+        """Common zero manifold of all levels, never empty.
 
-    def zero_set(self) -> AffineManifold | None:
-        """Common zero manifold of all levels; None marks irregularity.
-
-        Validated finite corteges have independent linear parts, so the
-        system is always solvable and None never occurs here in practice;
-        the branch is kept so irregularity is reported rather than assumed.
+        A valid cortege has independent linear parts (see :class:`Cortege`),
+        so the system of all its levels has full row rank and a solution.
         """
-        return self._zero_manifold
+        manifold = solve_affine_zero_set(self.cortege.functionals, self.dim)
+        assert manifold is not None  # independent linear parts are always solvable
+        return manifold
 
     def classify(self, x: Point) -> Region:
         """Exact trichotomy: negative side, zero manifold, or positive side."""
-        if self._zero_manifold is None:
-            raise IrregularFunctionError("step-affine function has an empty zero set")
         value = self.evaluate(x)
         if value > 0:
             return Region.POSITIVE_SIDE
@@ -142,8 +146,5 @@ class StepAffineFunction:
         canonical base point of the zero manifold (deterministic by the
         solver's pivoting), so the identity holds exactly for every x.
         """
-        manifold = self._zero_manifold
-        if manifold is None:
-            raise IrregularFunctionError("cannot anchor an irregular step-affine function")
         linear = StepAffineFunction.step_linear(self.cortege.linear_parts())
-        return linear, manifold.base
+        return linear, self.zero_set().base

@@ -172,6 +172,19 @@ def random_cortege(rng: random.Random, dim: int, max_rank: int = 3) -> fx.Corteg
             continue
 
 
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.name`` for the test so each call's arguments are recorded."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def literal_first_nonzero(cortege: fx.Cortege, x: fx.Point) -> Fraction:
     """Reference evaluator: least index with a nonzero value, else zero."""
     hit = [f for f in cortege.functionals if f(x) != 0]

@@ -4,8 +4,9 @@ import sys
 import pytest
 
 import facelex as fx
+import facelex.stepaffine
 from facelex.sampling import sample_in_hull
-from helpers import af, assert_witness_valid, pt
+from helpers import af, assert_witness_valid, count_calls, pt
 
 
 def fd(*indices):
@@ -201,3 +202,24 @@ class TestEquivalenceReport:
                 report = fx.equivalence_report(polytope, face)
                 assert (report.a, report.b, report.c, report.d) == (True, True, True, True)
                 assert calls <= 2, (face, calls)
+
+
+class TestWorkBounds:
+    """Deterministic call counts in place of timings: on a face, certify and
+    chain_certificate read the vertex-facet incidences and evaluate no
+    slack, and the equivalence report solves no affine zero set."""
+
+    def test_face_certificates_evaluate_no_slack(self, fixture_polytopes, monkeypatch):
+        calls = count_calls(monkeypatch, fx.Facet, "slack")
+        for polytope in fixture_polytopes.values():
+            for face in polytope.proper_faces():
+                assert isinstance(fx.certify(polytope, face), fx.FaceCertificate)
+                fx.chain_certificate(polytope, face)
+        assert calls == []
+
+    def test_equivalence_report_solves_no_zero_set(self, fixture_polytopes, monkeypatch):
+        calls = count_calls(monkeypatch, facelex.stepaffine, "solve_affine_zero_set")
+        for polytope in fixture_polytopes.values():
+            for face in polytope.proper_faces():
+                assert fx.equivalence_report(polytope, face).consistent
+        assert calls == []

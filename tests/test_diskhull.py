@@ -88,6 +88,28 @@ class TestQuadScalar:
         for q in (x, y, x + z, x * z, z * x):
             assert q.sign() == bracket_sign(q)
 
+    @given(
+        a=small_rationals,
+        b=small_rationals,
+        s=radicands,
+        n=st.one_of(small_rationals, st.integers(min_value=-30, max_value=30)),
+    )
+    def test_ordering_laws_against_plain_numbers(self, a, b, s, n):
+        for q in (fx.QuadScalar(a, b, Fraction(s)), fx.QuadScalar.of(n)):
+            sign = bracket_sign(q - n)
+            assert [q < n, q == n, q > n] == [sign < 0, sign == 0, sign > 0]
+            assert (q <= n) == (q < n or q == n)
+            assert (q >= n) == (q > n or q == n)
+            assert (n == q) == (q == n) and (q != n) == (not q == n)
+            if q == n:
+                assert hash(q) == hash(n)
+
+    def test_equal_to_plain_number_of_same_value(self):
+        assert fx.QuadScalar.of(2) <= 2 and fx.QuadScalar.of(2) >= 2
+        assert fx.QuadScalar(1, 3, Fraction(4)) == 7
+        assert fx.QuadScalar.of(Fraction(1, 2)) == Fraction(1, 2)
+        assert fx.QuadScalar(0, 1, Fraction(2)) != 1
+
     def test_incompatible_radicands_compare_unequal(self):
         assert (fx.QuadScalar(0, 1, Fraction(2)) == fx.QuadScalar(0, 1, Fraction(3))) is False
         assert fx.QuadScalar(0, 1, Fraction(2)) != fx.QuadScalar(0, 1, Fraction(3))

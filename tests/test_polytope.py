@@ -6,8 +6,9 @@ import pytest
 
 import facelex as fx
 import facelex.polytope
+from facelex.oracle import oracle_faces
 from facelex.sampling import sample_in_hull
-from helpers import cube, facet_triples, pt, simplex, unit_square
+from helpers import count_calls, cube, facet_triples, pt, simplex, unit_square
 
 
 class TestConstruction:
@@ -222,6 +223,34 @@ class TestFaceLattice:
     def test_all_faces_are_faces(self, octa):
         for face in octa.all_faces():
             assert octa.is_face(face)
+
+
+class TestIncidenceQueries:
+    """Face queries on vertex sets are answered from the vertex-facet
+    incidences; the brute-force oracle and the slack arithmetic at the
+    barycenter are the references."""
+
+    def test_is_face_matches_oracle_on_every_vertex_subset(self, fixture_polytopes):
+        for polytope in fixture_polytopes.values():
+            n = len(polytope.vertices)
+            if n > 8:
+                continue
+            faces = set(oracle_faces(polytope))
+            for size in range(1, n + 1):
+                for subset in itertools.combinations(range(n), size):
+                    face = fx.FaceDescriptor(subset)
+                    assert polytope.is_face(face) == (face in faces), subset
+                    b = polytope.barycenter_of(face)
+                    assert polytope._closure(face) == polytope.smallest_face_containing(b)
+
+    def test_is_face_evaluates_no_slack(self, fixture_polytopes, monkeypatch):
+        calls = count_calls(monkeypatch, fx.Facet, "slack")
+        for polytope in fixture_polytopes.values():
+            for face in polytope.all_faces():
+                assert polytope.is_face(face)
+            for pair in itertools.combinations(range(len(polytope.vertices)), 2):
+                polytope.is_face(fx.FaceDescriptor(pair))
+        assert calls == []
 
 
 class TestSegmentLattice:

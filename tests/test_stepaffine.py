@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import facelex as fx
-from helpers import af, lf, literal_first_nonzero, pt, random_cortege, step
+import facelex.stepaffine
+from helpers import af, count_calls, lf, literal_first_nonzero, pt, random_cortege, step
 
 
 class TestValidation:
@@ -37,6 +38,42 @@ class TestValidation:
     def test_rank_bounded_by_dimension(self):
         with pytest.raises(fx.InvalidCortegeError):
             fx.Cortege((af([1, 0]), af([0, 1]), af([1, 1])))
+
+    def test_checked_without_solving_zero_sets(self, monkeypatch):
+        calls = count_calls(monkeypatch, facelex.stepaffine, "solve_affine_zero_set")
+        rng = random.Random(12)
+        for _ in range(30):
+            random_cortege(rng, rng.randint(1, 4))
+        with pytest.raises(fx.InvalidCortegeError):
+            fx.Cortege((af([1, 0, 1]), af([0, 1, 0], 2), af([2, 3, 2], -1)))
+        assert calls == []
+
+    def test_agrees_with_zero_set_definition(self):
+        """The span pass rejects exactly where the definition does: level i
+        must be non-constant on the nonempty zero set of levels 1..i-1."""
+
+        def by_definition(funcs, dim):
+            for index, f in enumerate(funcs, start=1):
+                manifold = fx.solve_affine_zero_set(funcs[: index - 1], dim)
+                if manifold is None:
+                    return ("empty_manifold", index)
+                if all(f.linear(d) == 0 for d in manifold.directions):
+                    return ("constant_on_manifold", index)
+            return None
+
+        rng = random.Random(5)
+        for _ in range(300):
+            dim = rng.randint(1, 3)
+            funcs = tuple(
+                af([rng.randint(-1, 1) for _ in range(dim)], rng.randint(-2, 2))
+                for _ in range(rng.randint(1, 4))
+            )
+            try:
+                fx.Cortege(funcs)
+                got = None
+            except fx.InvalidCortegeError as err:
+                got = (err.reason, err.index)
+            assert got == by_definition(funcs, dim), funcs
 
 
 class TestEvaluation:
