@@ -166,9 +166,6 @@ class AffineFunctional:
     def dim(self) -> int:
         return self.linear.dim
 
-    def is_constant(self) -> bool:
-        return self.linear.is_zero()
-
     def __call__(self, x: Point) -> Fraction:
         return self.linear(x) + self.offset
 
@@ -204,103 +201,98 @@ def lead_positive(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Exact Gaussian elimination.  Deterministic pivoting: columns left to right,
-# first usable row.  All helpers work on plain lists of Fractions.
+# The one exact elimination: a fraction-free reduced echelon basis of a row
+# space, grown one row at a time.  Every rank, independence, kernel and
+# solve below reads it.  The reduced echelon form of a row space is unique,
+# so results do not depend on the order rows arrive in.
 # ---------------------------------------------------------------------------
 
 
 class IncrementalSpan:
-    """Row-space tracker: add rows one at a time, query membership exactly."""
+    """Row-space tracker: add rows one at a time, query membership exactly.
+
+    The basis is kept as primitive ``int`` rows in reduced echelon form:
+    each row has a positive entry at its pivot column and zeros at every
+    other row's pivot.  A row of ``int`` or ``Fraction`` entries enters
+    scaled by the lcm of its denominators, which keeps the span.
+    """
 
     def __init__(self, width: int) -> None:
         self.width = width
-        self._rows: list[tuple[int, list[Fraction]]] = []  # (pivot column, reduced row)
+        self._rows: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
 
-    def _reduce(self, row: Sequence[Fraction]) -> list[Fraction]:
-        vec = list(row)
+    def _reduce(self, row: Sequence[Fraction | int]) -> list[int]:
+        den = lcm(*(v.denominator for v in row))
+        vec = [v.numerator * (den // v.denominator) for v in row]
         for pivot, base in self._rows:
             factor = vec[pivot]
-            if factor != 0:
-                vec = [a - factor * b for a, b in zip(vec, base)]
+            if factor:
+                scale = base[pivot]
+                vec = [scale * a - factor * b for a, b in zip(vec, base)]
         return vec
 
-    def contains(self, row: Sequence[Fraction]) -> bool:
-        return all(v == 0 for v in self._reduce(row))
+    def contains(self, row: Sequence[Fraction | int]) -> bool:
+        return not any(self._reduce(row))
 
-    def add(self, row: Sequence[Fraction]) -> bool:
+    def add(self, row: Sequence[Fraction | int]) -> bool:
         """Insert a row; return True when it enlarged the span."""
         vec = self._reduce(row)
-        for col, value in enumerate(vec):
-            if value != 0:
-                normalized = [v / value for v in vec]
-                self._rows.append((col, normalized))
-                self._rows.sort(key=lambda item: item[0])
-                return True
-        return False
+        col = next((k for k, v in enumerate(vec) if v), None)
+        if col is None:
+            return False
+        g = gcd(*vec) if vec[col] > 0 else -gcd(*vec)
+        vec = [v // g for v in vec]
+        lead = vec[col]
+        for k, (pivot, base) in enumerate(self._rows):
+            factor = base[col]
+            if factor:
+                # base[pivot] > 0 and vec[pivot] == 0, so the pivot stays positive.
+                cleared = [lead * a - factor * b for a, b in zip(base, vec)]
+                g = gcd(*cleared)
+                self._rows[k] = (pivot, [v // g for v in cleared])
+        self._rows.append((col, vec))
+        return True
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]], width: int) -> int:
+def nullspace_basis(rows: Sequence[Sequence[Fraction | int]], width: int) -> list[list[Fraction]]:
+    """Deterministic basis of the kernel, one vector per free column.
+
+    The vector of free column f has 1 at f, 0 at every other free column,
+    and at each pivot column what the reduced row of that pivot forces.
+    """
     span = IncrementalSpan(width)
     for row in rows:
         span.add(row)
-    return span.rank
-
-
-def rref(rows: Sequence[Sequence[Fraction]], width: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row-echelon form and pivot column list."""
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(width):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        pivot = mat[r][col]
-        mat[r] = [v / pivot for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
-
-
-def solve_linear_system(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], width: int
-) -> list[Fraction] | None:
-    """One exact solution of ``rows @ x = rhs`` (free variables set to 0)."""
-    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
-    mat, pivots = rref(augmented, width + 1)
-    if width in pivots:
-        return None  # a row reduced to 0 = 1
-    solution = [ZERO] * width
-    for row, col in zip(mat, pivots):
-        solution[col] = row[width]
-    return solution
-
-
-def nullspace_basis(rows: Sequence[Sequence[Fraction]], width: int) -> list[list[Fraction]]:
-    """Deterministic basis of the kernel, one vector per free column."""
-    mat, pivots = rref(rows, width)
-    pivot_set = set(pivots)
+    pivots = {pivot for pivot, _base in span._rows}
     basis: list[list[Fraction]] = []
     for free in range(width):
-        if free in pivot_set:
+        if free in pivots:
             continue
         vec = [ZERO] * width
         vec[free] = ONE
-        for row, col in zip(mat, pivots):
-            vec[col] = -row[free]
+        for pivot, base in span._rows:
+            vec[pivot] = Fraction(-base[free], base[pivot])
         basis.append(vec)
     return basis
+
+
+def solve_linear_system(
+    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int], width: int
+) -> list[Fraction] | None:
+    """One exact solution of ``rows @ x = rhs`` (free variables set to 0).
+
+    It is read off the kernel of the rows ``[A | -b]``: the vector of the
+    last column is (x, 1).  When that column is a pivot, a row reduced to
+    0 = 1 and there is no solution.
+    """
+    kernel = nullspace_basis([list(row) + [-b] for row, b in zip(rows, rhs)], width + 1)
+    if kernel and kernel[-1][width]:
+        return kernel[-1][:width]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +311,8 @@ class AffineManifold:
         object.__setattr__(self, "directions", tuple(self.directions))
         for d in self.directions:
             _require_same_dim(self.base.dim, d.dim)
-        rows = [d.coords for d in self.directions]
-        if matrix_rank(rows, self.base.dim) != len(rows):
+        span = IncrementalSpan(self.base.dim)
+        if not all(span.add(d.coords) for d in self.directions):
             raise ValueError("manifold directions must be linearly independent")
 
     @property
@@ -367,7 +359,8 @@ def linear_independent(functionals: Sequence[LinearFunctional]) -> bool:
     width = functionals[0].dim
     for f in functionals[1:]:
         _require_same_dim(width, f.dim)
-    return matrix_rank([f.coeffs for f in functionals], width) == len(functionals)
+    span = IncrementalSpan(width)
+    return all(span.add(f.coeffs) for f in functionals)
 
 
 def solve_affine_zero_set(
@@ -385,16 +378,13 @@ def solve_affine_zero_set(
         ambient_dim = functionals[0].dim
     for f in functionals:
         _require_same_dim(ambient_dim, f.dim)
-    rows = [f.linear.coeffs for f in functionals]
-    rhs = [-f.offset for f in functionals]
-    solution = solve_linear_system(rows, rhs, ambient_dim)
-    if solution is None:
+    # One kernel of the rows [a | offset] gives the base point, as in
+    # solve_linear_system, and the directions: the other kernel vectors.
+    kernel = nullspace_basis([f.linear.coeffs + (f.offset,) for f in functionals], ambient_dim + 1)
+    if not kernel or not kernel[-1][-1]:
         return None
-    directions = tuple(
-        Point(lead_positive(primitive_tuple(vec)))
-        for vec in nullspace_basis(rows, ambient_dim)
-    )
-    return AffineManifold(Point(tuple(solution)), directions)
+    directions = tuple(Point(lead_positive(primitive_tuple(vec[:-1]))) for vec in kernel[:-1])
+    return AffineManifold(Point(tuple(kernel[-1][:-1])), directions)
 
 
 def affine_hull(points: Sequence[Point]) -> AffineManifold:

@@ -50,9 +50,6 @@ class FaceDescriptor:
     def intersect(self, other: FaceDescriptor) -> FaceDescriptor:
         return FaceDescriptor(tuple(self.as_set() & other.as_set()))
 
-    def issubset(self, other: FaceDescriptor) -> bool:
-        return self.as_set() <= other.as_set()
-
 
 @dataclass(frozen=True)
 class Facet:
@@ -156,14 +153,14 @@ def _hull_facets(points: Sequence[Point]) -> list[tuple[LinearFunctional, Fracti
     span = IncrementalSpan(d + 1)
     seed = []
     for i, row in enumerate(rows):
-        if span.add([Fraction(v) for v in row]):
+        if span.add(row):
             seed.append(i)
             if len(seed) == d + 1:
                 break
     seed_mask = sum(1 << i for i in seed)
     rays: list[tuple[list[int], int]] = []
     for j in seed:
-        kernel = nullspace_basis([[Fraction(v) for v in rows[i]] for i in seed if i != j], d + 1)
+        kernel = nullspace_basis([rows[i] for i in seed if i != j], d + 1)
         ray = [int(v) for v in primitive_tuple(kernel[0])]
         if _dot(ray, rows[j]) > 0:
             ray = [-v for v in ray]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import facelex as fx
 from facelex.sampling import sample_in_hull
@@ -210,3 +211,29 @@ def assert_witness_valid(polytope: fx.Polytope, face: fx.FaceDescriptor, result:
     assert w.scaled(alpha) + z.scaled(1 - alpha) == b
 
 
+def rref(rows: Sequence[Sequence[Fraction]], width: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row-echelon form and pivot column list.
+
+    Test-only reference: the batch elimination the library used before
+    ``IncrementalSpan`` became its only engine.  Pass ``Fraction`` entries,
+    since an ``int`` row divided by an ``int`` pivot would give floats.
+    """
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    for col in range(width):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        pivot = mat[r][col]
+        mat[r] = [v / pivot for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots

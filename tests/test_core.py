@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import facelex as fx
-from helpers import af, lf, pt
+from facelex import core
+from helpers import af, lf, pt, rref
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 
@@ -148,3 +150,153 @@ class TestAffineHull:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fx.affine_hull([])
+
+
+# -- the elimination engine against the batch reference ----------------------
+
+entries = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+    st.just(0),
+)
+
+
+@st.composite
+def systems(draw):
+    """Rows of mixed int/Fraction entries, widths 0 to 7, with zero,
+    duplicate and dependent rows mixed in, and a right-hand side."""
+    width = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=6))
+    extra = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 99), st.integers(0, 99), entries), max_size=3))
+    for kind, a, b, c in extra:
+        if kind == 0:
+            rows.append([0] * width)
+        elif rows and kind == 1:
+            rows.append(list(rows[a % len(rows)]))
+        elif rows:
+            r, s = rows[a % len(rows)], rows[b % len(rows)]
+            rows.append([Fraction(c) * x + y for x, y in zip(r, s)])
+    rhs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    return width, rows, rhs
+
+
+def seeded_systems(count, seed):
+    rng = random.Random(seed)
+
+    def entry():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-5, 5)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    for _ in range(count):
+        width = rng.randint(0, 7)
+        rows = [[entry() for _ in range(width)] for _ in range(rng.randint(0, 7))]
+        if rows and rng.random() < 0.5:
+            rows.append([entry() * v for v in rows[rng.randrange(len(rows))]])
+        if len(rows) >= 2 and rng.random() < 0.5:
+            a, b = rng.sample(rows, 2)
+            rows.append([x - y for x, y in zip(a, b)])
+        if rng.random() < 0.2:
+            rows.insert(rng.randint(0, len(rows)), [0] * width)
+        yield width, rows, [entry() for _ in rows]
+
+
+def _fractions(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+def reference_nullspace(rows, width):
+    mat, pivots = rref(_fractions(rows), width)
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * width
+        vec[free] = Fraction(1)
+        for row, col in zip(mat, pivots):
+            vec[col] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def reference_solve(rows, rhs, width):
+    mat, pivots = rref([row + [Fraction(b)] for row, b in zip(_fractions(rows), rhs)], width + 1)
+    if width in pivots:
+        return None
+    solution = [Fraction(0)] * width
+    for row, col in zip(mat, pivots):
+        solution[col] = row[width]
+    return solution
+
+
+def reference_rank(rows, width):
+    return len(rref(_fractions(rows), width)[1])
+
+
+def check_engine(width, rows, rhs):
+    assert core.nullspace_basis(rows, width) == reference_nullspace(rows, width)
+    assert core.solve_linear_system(rows, rhs, width) == reference_solve(rows, rhs, width)
+
+    span = core.IncrementalSpan(width)
+    for i, row in enumerate(rows):
+        grew = reference_rank(rows[: i + 1], width) > reference_rank(rows[:i], width)
+        assert span.contains(row) is not grew
+        assert span.add(row) is grew
+        assert span.contains(row)
+    rank = reference_rank(rows, width)
+    assert span.rank == rank
+    probe = (list(rhs) + [0] * width)[:width]
+    assert span.contains(probe) is (reference_rank(rows + [probe], width) == rank)
+
+    if width == 0:
+        return
+    funcs = [af(row, -b) for row, b in zip(rows, rhs)]
+    manifold = fx.solve_affine_zero_set(funcs, width)
+    solution = reference_solve(rows, rhs, width)
+    if solution is None:
+        assert manifold is None
+        return
+    directions = tuple(
+        pt(*core.lead_positive(core.primitive_tuple(v))) for v in reference_nullspace(rows, width)
+    )
+    assert (manifold.base, manifold.directions) == (pt(*solution), directions)
+    normals = reference_nullspace([d.coords for d in directions], width)
+    equations = []
+    for raw in normals:
+        functional = fx.LinearFunctional(core.lead_positive(core.primitive_tuple(raw)))
+        equations.append(fx.AffineFunctional(functional, -functional(manifold.base)))
+    assert manifold.equations() == tuple(equations)
+
+
+class TestEliminationEngine:
+    """Every solve, kernel and rank comes from ``IncrementalSpan``; each must
+    equal what the batch reduced echelon form gives, which is unique."""
+
+    def test_seeded_systems(self):
+        for width, rows, rhs in seeded_systems(400, seed=29):
+            check_engine(width, rows, rhs)
+
+    @given(system=systems())
+    def test_random_systems(self, system):
+        check_engine(*system)
+
+    def test_int_and_fraction_rows_agree(self):
+        rows = [[2, 4, 0], [Fraction(1, 3), Fraction(2, 3), 1]]
+        assert core.nullspace_basis(rows, 3) == core.nullspace_basis(_fractions(rows), 3)
+        assert core.nullspace_basis(rows, 3) == [[Fraction(-2), Fraction(1), Fraction(0)]]
+
+    def test_inconsistent_system_has_no_solution(self):
+        assert core.solve_linear_system([[1, 1], [2, 2]], [1, 3], 2) is None
+        assert core.solve_linear_system([[0, 0]], [Fraction(1, 2)], 2) is None
+        assert core.solve_linear_system([[]], [1], 0) is None
+        assert core.solve_linear_system([[]], [0], 0) == []
+
+    def test_basis_is_reduced(self):
+        span = core.IncrementalSpan(3)
+        for row in ([0, 2, 4], [Fraction(3, 2), 3, 0], [1, 0, 0]):
+            span.add(row)
+        assert span.rank == 3
+        assert sorted(span._rows) == [(0, [1, 0, 0]), (1, [0, 1, 0]), (2, [0, 0, 1])]
