@@ -10,6 +10,7 @@ inconsistent equivalence report, 4 internal error (a bug, never an answer).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -37,7 +38,10 @@ EXIT_INTERNAL = 4
 _CROSS_CHECK_TRIALS = 2000
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing neither mutates it nor
+    holds on to an output stream (argparse reads sys.stderr when it prints)."""
     parser = argparse.ArgumentParser(
         prog="facelex",
         description="Exact face certificates for polytopes and disk hulls.",

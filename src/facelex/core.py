@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError
@@ -50,10 +51,18 @@ def _require_same_dim(a: int, b: int) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {a} vs {b}")
 
 
+def _over_common_denominator(values: Sequence[Fraction | int]) -> tuple[tuple[int, ...], int]:
+    """Int numerators of the values over the lcm of their denominators, and that lcm."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 def _as_fractions(values: Iterable[Fraction | int | str]) -> tuple[Fraction, ...]:
     out = []
     for v in values:
-        if isinstance(v, str):
+        if type(v) is Fraction:
+            out.append(v)  # immutable, so shared rather than rebuilt
+        elif isinstance(v, str):
             out.append(parse_rational(v))
         else:
             out.append(Fraction(v))
@@ -100,6 +109,11 @@ class Point:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
 
+    @cached_property
+    def _scaled(self) -> tuple[tuple[int, ...], int]:
+        """The coordinates as int numerators over their least common denominator."""
+        return _over_common_denominator(self.coords)
+
 
 def origin(dim: int) -> Point:
     return Point((ZERO,) * dim)
@@ -132,9 +146,16 @@ class LinearFunctional:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
+    @cached_property
+    def _scaled(self) -> tuple[tuple[int, ...], int]:
+        """The coefficients as int numerators over their least common denominator."""
+        return _over_common_denominator(self.coeffs)
+
     def __call__(self, x: Point) -> Fraction:
         _require_same_dim(self.dim, x.dim)
-        return sum((c * v for c, v in zip(self.coeffs, x.coords)), ZERO)
+        coeffs, den = self._scaled
+        coords, den_x = x._scaled
+        return Fraction(sum(map(mul, coeffs, coords)), den * den_x)
 
     def __add__(self, other: LinearFunctional) -> LinearFunctional:
         _require_same_dim(self.dim, other.dim)
@@ -221,9 +242,8 @@ class IncrementalSpan:
         self.width = width
         self._rows: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
 
-    def _reduce(self, row: Sequence[Fraction | int]) -> list[int]:
-        den = lcm(*(v.denominator for v in row))
-        vec = [v.numerator * (den // v.denominator) for v in row]
+    def _reduce(self, row: Sequence[Fraction | int]) -> Sequence[int]:
+        vec, _den = _over_common_denominator(row)
         for pivot, base in self._rows:
             factor = vec[pivot]
             if factor:

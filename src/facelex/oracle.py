@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .core import (
@@ -24,7 +24,7 @@ from .core import (
 )
 from .errors import SizeGuardExceededError
 from .polytope import FaceDescriptor, Polytope
-from .sampling import sample_in_hull
+from .sampling import _int_combination, _int_weights
 
 # Documented default seed for the randomized refuter: reproducible CI runs.
 DEFAULT_REFUTER_SEED = 7193
@@ -194,16 +194,30 @@ def oracle_refute_face(
     polytope._check_descriptor(candidate)
     hull = polytope.face_polytope(candidate)
     rng = random.Random(seed)
-    step_choices = [Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+    # Every point below is an int vector over a positive int denominator,
+    # after scaling the vertices once by their common denominator: m is
+    # m_num / (t_m scale), u is u_num / (t_u scale), and v = m + (p/q)(m - u)
+    # is ((q + p) t_u m_num - p t_m u_num) / (q t_m t_u scale).
+    scale = lcm(*(x._scaled[1] for x in polytope.vertices))
+    corners = [[n * (scale // den) for n in nums] for nums, den in (x._scaled for x in polytope.vertices)]
+    face_corners = [corners[i] for i in candidate.vertex_indices]
+    step_choices = [(1, 1), (1, 2), (1, 4), (1, 8)]
     for _ in range(trials):
-        m = sample_in_hull(rng, hull.vertices, positive=True)
-        u = sample_in_hull(rng, polytope.vertices)
-        if u == m:
+        weights = _int_weights(rng, len(face_corners), True)
+        m_num, t_m = _int_combination(face_corners, weights), sum(weights)
+        weights = _int_weights(rng, len(corners), False)
+        u_num, t_u = _int_combination(corners, weights), sum(weights)
+        if all(a * t_m == b * t_u for a, b in zip(u_num, m_num)):
             continue
-        step = rng.choice(step_choices)
-        v = m + (m - u).scaled(step)
-        if not polytope.contains(v):
+        p, q = rng.choice(step_choices)
+        v_num = [(q + p) * t_u * a - p * t_m * b for a, b in zip(m_num, u_num)]
+        den_u = t_u * scale
+        den_v = q * t_m * den_u
+        if not polytope._contains_scaled(v_num, den_v):
             continue
-        if not hull.contains(u) or not hull.contains(v):
-            return (u, v)
+        if not hull._contains_scaled(u_num, den_u) or not hull._contains_scaled(v_num, den_v):
+            return (
+                Point(tuple(Fraction(a, den_u) for a in u_num)),
+                Point(tuple(Fraction(a, den_v) for a in v_num)),
+            )
     return None

@@ -15,6 +15,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -65,9 +66,6 @@ class Facet:
 
     def slack(self, x: Point) -> Fraction:
         return self.offset - self.functional(x)
-
-    def is_tight_at(self, x: Point) -> bool:
-        return self.slack(x) == 0
 
 
 def _intrinsic_chart(
@@ -201,7 +199,12 @@ def _hull_facets(points: Sequence[Point]) -> list[tuple[LinearFunctional, Fracti
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
+
+
+def _int_rows(facets: Iterable[Facet]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Facet inequalities a.x <= b as int rows (a, b); facets are primitive integers."""
+    return tuple((tuple(c.numerator for c in f.functional.coeffs), f.offset.numerator) for f in facets)
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -277,7 +280,9 @@ class Polytope:
         self._lock = threading.Lock()
         self._facets = facets
         self._masks = None if facets is None else tuple(_mask(f.tight_vertices) for f in facets)
+        self._facet_rows = None if facets is None else _int_rows(facets)
         self._hull: AffineManifold | None = None
+        self._equation_rows: tuple[tuple[tuple[int, ...], int], ...] = ()
         self._faces: tuple[FaceDescriptor, ...] | None = None
         self._sub_polytopes: dict[FaceDescriptor, Polytope] = {}
 
@@ -311,6 +316,11 @@ class Polytope:
         with self._lock:
             if self._hull is None:
                 self._hull = affine_hull(self._vertices)
+                # a.x + c == 0 as an int row (a, c), primitive since a is.
+                self._equation_rows = tuple(
+                    (tuple(a.numerator * eq.offset.denominator for a in eq.linear.coeffs), eq.offset.numerator)
+                    for eq in self._hull.equations()
+                )
             return self._hull
 
     @property
@@ -362,6 +372,7 @@ class Polytope:
                     for functional, offset, tight in _hull_facets(self._vertices)
                 )
                 self._masks = tuple(_mask(f.tight_vertices) for f in self._facets)
+                self._facet_rows = _int_rows(self._facets)
             return self._facets
 
     def _facet_masks(self) -> tuple[int, ...]:
@@ -391,20 +402,28 @@ class Polytope:
                 closure &= m
         return FaceDescriptor(_indices(closure))
 
+    def _contains_scaled(self, nums: Sequence[int], den: int) -> bool:
+        """Membership of the point nums / den, for int nums and an int den > 0."""
+        self.hull_manifold()
+        self.facets()
+        return all(_dot(a, nums) + c * den == 0 for a, c in self._equation_rows) and all(
+            _dot(a, nums) <= b * den for a, b in self._facet_rows
+        )
+
     def contains(self, x: Point) -> bool:
         """Exact membership: x in aff(P) and every facet inequality holds."""
         _require_same_dim(self._ambient_dim, x.dim)
-        if not self.hull_manifold().contains(x):
-            return False
-        return all(f.slack(x) >= 0 for f in self.facets())
+        return self._contains_scaled(*x._scaled)
 
     def smallest_face_containing(self, x: Point) -> FaceDescriptor:
         """Vertex set of the unique smallest face with x in its relative interior."""
-        if not self.contains(x):
+        _require_same_dim(self._ambient_dim, x.dim)
+        nums, den = x._scaled
+        if not self._contains_scaled(nums, den):
             raise NotAMemberError(f"point {x.coords} lies outside the polytope")
         closure = (1 << len(self._vertices)) - 1
-        for f, m in zip(self.facets(), self._facet_masks()):
-            if f.is_tight_at(x):
+        for (a, b), m in zip(self._facet_rows, self._masks):
+            if _dot(a, nums) == b * den:
                 closure &= m
         return FaceDescriptor(_indices(closure))
 

@@ -237,3 +237,70 @@ def rref(rows: Sequence[Sequence[Fraction]], width: int) -> tuple[list[list[Frac
         if r == len(mat):
             break
     return mat, pivots
+
+
+# -- test-only references for the integer membership, sampling and refuter paths
+
+
+def reference_contains(polytope: fx.Polytope, x: fx.Point) -> bool:
+    """Membership through ``Fraction`` arithmetic: the hull equations, then
+    every facet slack, as ``Polytope.contains`` did before it scaled points
+    to integers."""
+    if not all(eq(x) == 0 for eq in polytope.hull_manifold().equations()):
+        return False
+    return all(f.slack(x) >= 0 for f in polytope.facets())
+
+
+def reference_convex_weights(
+    rng: random.Random, count: int, *, positive: bool = False, span: int = 8
+) -> tuple[Fraction, ...]:
+    """Random rational weights summing to one (all strictly positive on demand)."""
+    low = 1 if positive else 0
+    raw = [rng.randint(low, span) for _ in range(count)]
+    if sum(raw) == 0:
+        raw[rng.randrange(count)] = 1
+    total = Fraction(sum(raw))
+    return tuple(Fraction(r) / total for r in raw)
+
+
+def reference_combine(points: Sequence[fx.Point], weights: Sequence[Fraction]) -> fx.Point:
+    """Weighted sum of points with exact rational weights."""
+    coords = [Fraction(0)] * points[0].dim
+    for p, w in zip(points, weights):
+        for k, c in enumerate(p.coords):
+            coords[k] += w * c
+    return fx.Point(tuple(coords))
+
+
+def reference_refute_face(
+    polytope: fx.Polytope,
+    candidate: fx.FaceDescriptor,
+    trials: int,
+    seed: int = 7193,
+) -> tuple[fx.Point, fx.Point] | None:
+    """Randomized search for a segment violating the face property.
+
+    Test-only reference: ``oracle_refute_face`` as it was on ``Fraction``
+    points, with membership by :func:`reference_contains`, so it runs none
+    of the refuter's integer arithmetic.  It draws its points with
+    ``sample_in_hull``, which ``tests/test_sampling.py`` checks against
+    the ``Fraction`` sums above.
+    """
+    if trials < 1:
+        raise ValueError("at least one trial required")
+    polytope._check_descriptor(candidate)
+    hull = polytope.face_polytope(candidate)
+    rng = random.Random(seed)
+    step_choices = [Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+    for _ in range(trials):
+        m = sample_in_hull(rng, hull.vertices, positive=True)
+        u = sample_in_hull(rng, polytope.vertices)
+        if u == m:
+            continue
+        step = rng.choice(step_choices)
+        v = m + (m - u).scaled(step)
+        if not reference_contains(polytope, v):
+            continue
+        if not reference_contains(hull, u) or not reference_contains(hull, v):
+            return (u, v)
+    return None

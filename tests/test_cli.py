@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import pytest
 
 import facelex as fx
 from facelex import jsonio
-from helpers import cone_body, unit_square
+from helpers import cone_body, count_calls, unit_square
 
 
 def run_cli(*args):
@@ -247,3 +248,36 @@ class TestOutFlag:
         assert result.returncode == 0
         assert result.stdout == ""
         assert json.loads(out.read_text())["count"] == 9
+
+
+class TestParserBuiltOnce:
+    def test_later_calls_reuse_the_parser(self, files, capsys, monkeypatch):
+        """A usage error and then two subcommands in one process print and
+        exit exactly as separate first calls do, and only the first call
+        builds the parser."""
+        from facelex import cli
+
+        commands = [
+            ["certify", "--input", files["square.json"]],  # no --face: usage error
+            ["faces", "--input", files["square.json"]],
+            ["certify", "--input", files["square.json"], "--face", "0,1"],
+        ]
+
+        def run(argv):
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first_calls = []
+        for argv in commands:
+            cli._build_parser.cache_clear()
+            first_calls.append(run(argv))
+        assert [code for code, _out, _err in first_calls] == [2, 0, 0]
+        assert "usage: facelex certify" in first_calls[0][2]
+
+        cli._build_parser.cache_clear()
+        in_process = [run(commands[0])]
+        calls = count_calls(monkeypatch, argparse.ArgumentParser, "add_argument")
+        in_process += [run(argv) for argv in commands[1:]]
+        assert in_process == first_calls
+        assert calls == []

@@ -52,6 +52,16 @@ class TestExactness:
         p = fx.Point(tuple(coords))
         assert (p + p).scaled(scale) == p.scaled(scale) + p.scaled(scale)
 
+    @given(pairs=st.lists(st.tuples(rationals, rationals), max_size=5))
+    def test_functional_value_is_the_fraction_sum(self, pairs):
+        """Evaluation on int numerators over one denominator per side equals
+        the plain Fraction dot product."""
+        functional = fx.LinearFunctional(tuple(c for c, _v in pairs))
+        x = fx.Point(tuple(v for _c, v in pairs))
+        value = functional(x)
+        assert type(value) is Fraction
+        assert value == sum((c * v for c, v in pairs), Fraction(0))
+
 
 class TestLinearIndependence:
     def test_standard_basis(self):

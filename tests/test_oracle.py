@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 import facelex as fx
 from facelex.oracle import oracle_faces, oracle_facets, oracle_lex_argmin, oracle_refute_face
+import facelex.sampling
 from facelex.polytope import _hull_facets
-from helpers import lf
+from helpers import count_calls, lf, reference_refute_face
 
 
 def fd(*indices):
@@ -114,3 +116,52 @@ class TestRefuter:
     def test_trials_validated(self, square):
         with pytest.raises(ValueError):
             oracle_refute_face(square, fd(0), trials=0)
+
+    @pytest.mark.parametrize("seed", [7193, 11])
+    def test_matches_fraction_reference_on_every_vertex_subset(self, fixture_polytopes, seed):
+        """The integer refuter returns the same witness points as the
+        Fraction reference, or None with it, on every vertex subset of
+        every fixture with at most eight vertices."""
+        for name, polytope in fixture_polytopes.items():
+            n = len(polytope.vertices)
+            if n > 8:
+                continue
+            for size in range(1, n + 1):
+                for indices in itertools.combinations(range(n), size):
+                    face = fd(*indices)
+                    got = oracle_refute_face(polytope, face, trials=200, seed=seed)
+                    assert got == reference_refute_face(polytope, face, trials=200, seed=seed), (name, indices)
+
+
+class TestRefuterWork:
+    """Deterministic work counts in place of timings: once the lazy hulls of
+    the body and the candidate are built, a trial builds no Point and calls
+    neither Polytope.contains nor the sampler; only a witness is built."""
+
+    def counters(self, monkeypatch):
+        points = count_calls(monkeypatch, fx.Point, "__post_init__")
+        contains = count_calls(monkeypatch, fx.Polytope, "contains")
+        samples = []
+        original = facelex.sampling.sample_in_hull
+
+        def counting(*args, **kwargs):
+            samples.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("facelex") and getattr(module, "sample_in_hull", None) is original:
+                monkeypatch.setattr(module, "sample_in_hull", counting)
+        return points, contains, samples
+
+    def test_true_face_builds_nothing(self, cube3, monkeypatch):
+        face = next(f for f in cube3.proper_faces() if len(f) == 4)
+        assert oracle_refute_face(cube3, face, trials=500) is None  # fills the lazy hulls
+        points, contains, samples = self.counters(monkeypatch)
+        assert oracle_refute_face(cube3, face, trials=500) is None
+        assert (len(points), len(contains), len(samples)) == (0, 0, 0)
+
+    def test_witness_builds_two_points(self, square, monkeypatch):
+        assert oracle_refute_face(square, fd(0, 2), trials=500) is not None
+        points, contains, samples = self.counters(monkeypatch)
+        assert oracle_refute_face(square, fd(0, 2), trials=500) is not None
+        assert (len(points), len(contains), len(samples)) == (2, 0, 0)

@@ -8,7 +8,15 @@ import facelex as fx
 import facelex.polytope
 from facelex.oracle import oracle_faces
 from facelex.sampling import sample_in_hull
-from helpers import count_calls, cube, facet_triples, pt, simplex, unit_square
+from helpers import (
+    count_calls,
+    cube,
+    facet_triples,
+    pt,
+    reference_contains,
+    simplex,
+    unit_square,
+)
 
 
 class TestConstruction:
@@ -164,6 +172,43 @@ class TestContains:
     def test_dimension_mismatch(self, square):
         with pytest.raises(fx.DimensionMismatchError):
             square.contains(pt(0, 0, 0))
+
+    def test_matches_fraction_reference(self, fixture_polytopes):
+        """Integer membership and smallest faces equal the Fraction slack
+        route on seeded rational points: in the hull, on it near the body,
+        and off the affine hull of lower-dimensional bodies."""
+        rng = random.Random(2024)
+        bodies = list(fixture_polytopes.values()) + [
+            fx.Polytope([(0, 0, 1), (2, 0, 1), (2, 1, 1), (0, 3, 1)]),
+            fx.Polytope([(1, 2, 3), (Fraction(-1, 2), 0, Fraction(7, 3))]),
+            fx.Polytope([(0, 0, 0, 0), (Fraction(1, 3), 1, 0, 2), (1, Fraction(-2, 5), 1, 0)]),
+        ]
+        bodies += [fixture_polytopes["3-cube"].face_polytope(f) for f in fixture_polytopes["3-cube"].proper_faces()]
+
+        def jitter():
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+        checked = 0
+        for body in bodies:
+            for _ in range(40):
+                inside = sample_in_hull(rng, body.vertices)
+                stretch = Fraction(rng.randint(0, 12), 8)
+                anchor = body.vertices[rng.randrange(len(body.vertices))]
+                for x in (
+                    inside,
+                    anchor + (inside - anchor).scaled(stretch),  # on the affine hull
+                    fx.Point(tuple(c + jitter() for c in inside.coords)),  # mostly off it
+                ):
+                    expected = reference_contains(body, x)
+                    assert body.contains(x) == expected, (body, x)
+                    if expected:
+                        tight = [f for f in body.facets() if f.slack(x) == 0]
+                        closure = frozenset(range(len(body.vertices))).intersection(
+                            *(f.tight_vertices for f in tight)
+                        )
+                        assert body.smallest_face_containing(x).as_set() == closure
+                    checked += 1
+        assert checked == 3 * 40 * len(bodies)
 
 
 class TestSmallestFace:
