@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import AffineFunctional, Point
-from .errors import EmptyFaceError, ImproperFaceError, NotAFaceError
+from .errors import ImproperFaceError, NotAFaceError
 from .polytope import FaceDescriptor, Facet, Polytope
 from .preorder import LexPreorder
 from .stepaffine import Cortege, StepAffineFunction
@@ -79,8 +79,6 @@ class EquivalenceReport:
 
 
 def _check_proper(polytope: Polytope, face: FaceDescriptor) -> None:
-    if not face.vertex_indices:
-        raise EmptyFaceError("empty vertex set cannot be certified")
     polytope._check_descriptor(face)
     if face == polytope.all_indices():
         raise ImproperFaceError("the whole polytope is not a proper face")

@@ -41,23 +41,19 @@ def dumps_canonical(document: Any) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-def _fail(message: str) -> FormatError:
-    return FormatError(message)
-
-
 def _rational_from(value: Any) -> Fraction:
     if not isinstance(value, str):
-        raise _fail(f"rationals must be strings like '1/2', got {value!r}")
+        raise FormatError(f"rationals must be strings like '1/2', got {value!r}")
     try:
         return parse_rational(value)
     except ValueError as exc:
-        raise _fail(str(exc)) from exc
+        raise FormatError(str(exc)) from exc
 
 
 def _rationals_from(value: Any, what: str) -> tuple[Fraction, ...]:
     """A JSON list of rational strings; anything else is a FormatError."""
     if not isinstance(value, list):
-        raise _fail(f"{what} must be a list of rationals, got {value!r}")
+        raise FormatError(f"{what} must be a list of rationals, got {value!r}")
     return tuple(_rational_from(c) for c in value)
 
 
@@ -67,10 +63,10 @@ def point_to_json(point: Point) -> list[str]:
 
 def point_from_json(doc: Any, *, dim: int | None = None) -> Point:
     if not isinstance(doc, list) or not doc:
-        raise _fail(f"a point must be a nonempty list of rationals, got {doc!r}")
+        raise FormatError(f"a point must be a nonempty list of rationals, got {doc!r}")
     point = Point(tuple(_rational_from(c) for c in doc))
     if dim is not None and point.dim != dim:
-        raise _fail(f"expected a point of dimension {dim}, got {point.dim}")
+        raise FormatError(f"expected a point of dimension {dim}, got {point.dim}")
     return point
 
 
@@ -83,14 +79,17 @@ def polytope_to_json(polytope: Polytope) -> dict:
 
 def polytope_from_json(doc: Any) -> Polytope:
     if not isinstance(doc, dict) or "vertices" not in doc:
-        raise _fail("a polytope document needs a 'vertices' key")
+        raise FormatError("a polytope document needs a 'vertices' key")
     vertices = doc["vertices"]
     if not isinstance(vertices, list) or not vertices:
-        raise _fail("'vertices' must be a nonempty list")
+        raise FormatError("'vertices' must be a nonempty list")
     points = [point_from_json(v) for v in vertices]
     ambient = doc.get("ambient_dim", points[0].dim)
+    # type() rather than isinstance(): JSON true/false are ints to Python.
+    if type(ambient) is not int:
+        raise FormatError(f"'ambient_dim' must be an integer, got {ambient!r}")
     if any(p.dim != ambient for p in points):
-        raise _fail("vertex dimensions disagree with ambient_dim")
+        raise FormatError("vertex dimensions disagree with ambient_dim")
     return Polytope(points)
 
 
@@ -100,11 +99,11 @@ def face_to_json(face: FaceDescriptor) -> dict:
 
 def face_from_json(doc: Any) -> FaceDescriptor:
     if not isinstance(doc, dict) or "vertex_indices" not in doc:
-        raise _fail("a face document needs a 'vertex_indices' key")
+        raise FormatError("a face document needs a 'vertex_indices' key")
     indices = doc["vertex_indices"]
     # type() rather than isinstance(): JSON true/false are ints to Python.
     if not isinstance(indices, list) or not all(type(i) is int for i in indices):
-        raise _fail("'vertex_indices' must be a list of integers")
+        raise FormatError("'vertex_indices' must be a list of integers")
     return FaceDescriptor(tuple(indices))
 
 
@@ -117,7 +116,7 @@ def functional_to_json(functional: AffineFunctional) -> dict:
 
 def functional_from_json(doc: Any) -> AffineFunctional:
     if not isinstance(doc, dict) or "coeffs" not in doc:
-        raise _fail("an affine functional needs a 'coeffs' key")
+        raise FormatError("an affine functional needs a 'coeffs' key")
     coeffs = _rationals_from(doc["coeffs"], "'coeffs'")
     offset = _rational_from(doc.get("offset", "0"))
     return AffineFunctional(LinearFunctional(coeffs), offset)
@@ -129,10 +128,10 @@ def cortege_to_json(cortege: Cortege) -> dict:
 
 def cortege_from_json(doc: Any) -> Cortege:
     if not isinstance(doc, dict) or "functionals" not in doc:
-        raise _fail("a cortege document needs a 'functionals' key")
+        raise FormatError("a cortege document needs a 'functionals' key")
     functionals = doc["functionals"]
     if not isinstance(functionals, list) or not functionals:
-        raise _fail("'functionals' must be a nonempty list")
+        raise FormatError("'functionals' must be a nonempty list")
     return Cortege(tuple(functional_from_json(f) for f in functionals))
 
 
@@ -142,10 +141,10 @@ def preorder_to_json(preorder: LexPreorder) -> dict:
 
 def preorder_from_json(doc: Any) -> LexPreorder:
     if not isinstance(doc, dict) or "levels" not in doc:
-        raise _fail("a preorder document needs a 'levels' key")
+        raise FormatError("a preorder document needs a 'levels' key")
     levels = doc["levels"]
     if not isinstance(levels, list) or not levels:
-        raise _fail("'levels' must be a nonempty list")
+        raise FormatError("'levels' must be a nonempty list")
     return LexPreorder(
         tuple(LinearFunctional(_rationals_from(row, "each level")) for row in levels)
     )
@@ -160,10 +159,10 @@ def certificate_to_json(certificate: FaceCertificate) -> dict:
 
 def certificate_from_json(doc: Any) -> FaceCertificate:
     if not isinstance(doc, dict) or "cortege" not in doc or "chain" not in doc:
-        raise _fail("a certificate document needs 'cortege' and 'chain' keys")
+        raise FormatError("a certificate document needs 'cortege' and 'chain' keys")
     chain = doc["chain"]
     if not isinstance(chain, list) or not chain:
-        raise _fail("'chain' must be a nonempty list of index lists")
+        raise FormatError("'chain' must be a nonempty list of index lists")
     return FaceCertificate(
         cortege=cortege_from_json(doc["cortege"]),
         chain=tuple(face_from_json({"vertex_indices": entry}) for entry in chain),
@@ -201,14 +200,14 @@ def disk_body_to_json(body: DiskBody) -> dict:
 
 def disk_body_from_json(doc: Any) -> DiskBody:
     if not isinstance(doc, dict) or "disks" not in doc:
-        raise _fail("a disk body document needs a 'disks' key")
+        raise FormatError("a disk body document needs a 'disks' key")
     disks = doc["disks"]
     if not isinstance(disks, list) or not disks:
-        raise _fail("'disks' must be a nonempty list")
+        raise FormatError("'disks' must be a nonempty list")
     out = []
     for entry in disks:
         if not isinstance(entry, dict) or "center" not in entry:
-            raise _fail("each disk needs a 'center'")
+            raise FormatError("each disk needs a 'center'")
         center = point_from_json(entry["center"], dim=2)
         radius = _rational_from(entry.get("radius", "0"))
         out.append(Disk(center, radius))
@@ -255,24 +254,24 @@ def disk_face_to_json(face: DiskFace) -> dict:
             "end": None if face.end is None else _linear_to_json(face.end),
             "representative": disk_face_to_json(face.representative),
         }
-    raise _fail(f"unknown disk face {face!r}")
+    raise FormatError(f"unknown disk face {face!r}")
 
 
 def _edge_from_json(body: DiskBody, doc: Any) -> Edge:
     if not isinstance(doc, dict):
-        raise _fail(f"an edge must be a JSON object, got {doc!r}")
+        raise FormatError(f"an edge must be a JSON object, got {doc!r}")
     normal = LinearFunctional(_rationals_from(doc.get("normal"), "an edge 'normal'"))
     offset = _rational_from(doc.get("offset", "0"))
     for edge in body.edges():
         if edge.normal == normal and edge.offset == offset:
             return edge
-    raise _fail(f"no hull edge with normal {doc.get('normal')} and offset {doc.get('offset')}")
+    raise FormatError(f"no hull edge with normal {doc.get('normal')} and offset {doc.get('offset')}")
 
 
 def disk_face_from_json(body: DiskBody, doc: Any) -> DiskFace:
     """Resolve a tagged face document against a concrete body."""
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise _fail("a disk face document needs a 'kind' tag")
+        raise FormatError("a disk face document needs a 'kind' tag")
     kind = doc["kind"]
     if kind == "whole":
         return Whole()
@@ -283,29 +282,29 @@ def disk_face_from_json(body: DiskBody, doc: Any) -> DiskFace:
         disk = doc.get("disk")
         # type() rather than isinstance(): JSON true/false are ints to Python.
         if type(disk) is not int or not 0 <= disk < len(body.disks):
-            raise _fail(f"bad disk index {disk!r}")
+            raise FormatError(f"bad disk index {disk!r}")
         return ArcPoint(disk=disk, direction=direction)
     if kind == "tangency_point":
         edge = _edge_from_json(body, doc.get("edge"))
         end = doc.get("end")
         if type(end) is not int or end not in (0, 1):
-            raise _fail("tangency point 'end' must be 0 or 1")
+            raise FormatError("tangency point 'end' must be 0 or 1")
         return TangencyPoint(edge=edge, end=end)
     if kind == "arc_family":
         rep = doc.get("representative")
         if rep is None:
-            raise _fail("arc family documents need a 'representative'")
+            raise FormatError("arc family documents need a 'representative'")
         # Checked before recursing, so nesting cannot exhaust the stack.
         if not isinstance(rep, dict) or rep.get("kind") != "arc_point":
-            raise _fail("arc family representative must be an arc point")
+            raise FormatError("arc family representative must be an arc point")
         return disk_face_from_json(body, rep)
-    raise _fail(f"unknown disk face kind {kind!r}")
+    raise FormatError(f"unknown disk face kind {kind!r}")
 
 
 def load_document(text: str) -> Any:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _fail(f"malformed JSON: {exc}") from exc
+        raise FormatError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:
-        raise _fail("malformed JSON: nested too deeply") from exc
+        raise FormatError("malformed JSON: nested too deeply") from exc

@@ -28,7 +28,6 @@ from .core import (
     barycenter,
     nullspace_basis,
     primitive_tuple,
-    solve_linear_system,
 )
 from .errors import EmptyFaceError, NotAMemberError
 
@@ -92,18 +91,15 @@ def _intrinsic_chart(
         return d, [p.coords for p in points], to_ambient
 
     # Intrinsic coordinates t with x = base + D t; D has independent
-    # columns, so G = (D^T D)^{-1} D^T is an exact left inverse.
+    # columns, so G = (D^T D)^{-1} D^T is an exact left inverse.  The gram
+    # matrix is invertible, so the kernel of [D^T D | -D^T] has one vector
+    # per ambient coordinate k, and that vector is (G[:, k], e_k).
     columns = [dir_.coords for dir_ in hull.directions]  # rows here = D columns
-    gram = [
-        [sum(a * b for a, b in zip(columns[i], columns[j])) for j in range(d)]
+    rows = [
+        [sum(a * b for a, b in zip(columns[i], columns[j])) for j in range(d)] + [-v for v in columns[i]]
         for i in range(d)
     ]
-    g_rows: list[list[Fraction]] = []
-    for k in range(ambient):
-        rhs = [columns[i][k] for i in range(d)]
-        col = solve_linear_system(gram, rhs, d)
-        assert col is not None  # gram matrix of independent columns is invertible
-        g_rows.append(col)
+    g_rows = [vec[:d] for vec in nullspace_basis(rows, d + ambient)]
     # g_rows[k][j] = G[j][k]; intrinsic coords of x are G (x - base).
     base = hull.base
 
@@ -229,11 +225,12 @@ class Polytope:
     and the removals are reported via :attr:`removed_points`: duplicates
     first, then non-extreme points, each in first-seen input order.  The
     stored :attr:`vertices` are therefore exactly the extreme points of the
-    hull, in first-seen input order, and their facets are known as soon as
-    the constructor returns.
+    hull, in first-seen input order.  The one facet pass that decides this
+    also fixes the facets, their vertex incidence masks and their integer
+    rows, so every later query only reads them.
     """
 
-    def __init__(self, points: Iterable[Point | Sequence], *, assume_minimal: bool = False) -> None:
+    def __init__(self, points: Iterable[Point | Sequence]) -> None:
         pts: list[Point] = []
         removed: list[Point] = []
         seen: set[tuple[Fraction, ...]] = set()
@@ -250,37 +247,35 @@ class Polytope:
         for p in pts[1:]:
             _require_same_dim(ambient, p.dim)
 
-        facets: tuple[Facet, ...] | None = None
-        if not assume_minimal and len(pts) > 1:
-            # Point i is a vertex exactly when the facets through it meet in
-            # {i}: the smallest face containing a point is the intersection
-            # of its facets (the whole hull when there are none), and a face
-            # of dimension >= 1 has at least two vertices among the points.
-            hull_facets = _hull_facets(pts)
-            meets = [-1] * len(pts)
-            for _functional, _offset, tight in hull_facets:
-                mask = _mask(tight)
-                for i in tight:
-                    meets[i] &= mask
-            renumber = {}
-            for i, p in enumerate(pts):
-                if meets[i] == 1 << i:
-                    renumber[i] = len(renumber)
-                else:
-                    removed.append(p)
-            pts = [pts[i] for i in renumber]
-            facets = tuple(
-                Facet(functional, offset, tuple(renumber[i] for i in tight if i in renumber))
-                for functional, offset, tight in hull_facets
-            )
+        # Point i is a vertex exactly when the facets through it meet in
+        # {i}: the smallest face containing a point is the intersection of
+        # its facets (all the points when there are none), and a face of
+        # dimension >= 1 has at least two vertices among the points.
+        hull_facets = _hull_facets(pts)
+        meets = [(1 << len(pts)) - 1] * len(pts)
+        for _functional, _offset, tight in hull_facets:
+            mask = _mask(tight)
+            for i in tight:
+                meets[i] &= mask
+        renumber = {}
+        for i, p in enumerate(pts):
+            if meets[i] == 1 << i:
+                renumber[i] = len(renumber)
+            else:
+                removed.append(p)
+        facets = tuple(
+            Facet(functional, offset, tuple(renumber[i] for i in tight if i in renumber))
+            for functional, offset, tight in hull_facets
+        )
 
-        self._vertices = tuple(pts)
+        self._vertices = tuple(pts[i] for i in renumber)
         self._removed = tuple(removed)
         self._ambient_dim = ambient
-        self._lock = threading.Lock()
         self._facets = facets
-        self._masks = None if facets is None else tuple(_mask(f.tight_vertices) for f in facets)
-        self._facet_rows = None if facets is None else _int_rows(facets)
+        self._masks = tuple(_mask(f.tight_vertices) for f in facets)
+        self._facet_rows = _int_rows(facets)
+        # Guards the lazily built hull, face lattice and sub-polytope caches.
+        self._lock = threading.Lock()
         self._hull: AffineManifold | None = None
         self._equation_rows: tuple[tuple[tuple[int, ...], int], ...] = ()
         self._faces: tuple[FaceDescriptor, ...] | None = None
@@ -352,7 +347,9 @@ class Polytope:
             cached = self._sub_polytopes.get(face)
         if cached is not None:
             return cached
-        sub = Polytope(self.face_points(face), assume_minimal=True)
+        # Every vertex is exposed, so a vertex subset is in convex position
+        # and the constructor keeps every point, in index order.
+        sub = Polytope(self.face_points(face))
         with self._lock:
             self._sub_polytopes.setdefault(face, sub)
         return sub
@@ -362,28 +359,16 @@ class Polytope:
     def facets(self) -> tuple[Facet, ...]:
         """Complete facet list relative to the affine hull.
 
-        A 0-dimensional polytope has no facets and yields the empty tuple
-        (the documented "no facets" sentinel, not an error).
+        Built by the constructor.  A 0-dimensional polytope has no facets
+        and yields the empty tuple (the documented "no facets" sentinel, not
+        an error).
         """
-        with self._lock:
-            if self._facets is None:
-                self._facets = tuple(
-                    Facet(functional, offset, tight)
-                    for functional, offset, tight in _hull_facets(self._vertices)
-                )
-                self._masks = tuple(_mask(f.tight_vertices) for f in self._facets)
-                self._facet_rows = _int_rows(self._facets)
-            return self._facets
-
-    def _facet_masks(self) -> tuple[int, ...]:
-        """Tight vertex sets of :meth:`facets` as bitmasks, in facet order."""
-        self.facets()
-        return self._masks
+        return self._facets
 
     def _facets_through(self, face: FaceDescriptor) -> list[Facet]:
         """The facets tight on every vertex of the face, in facet order."""
         mask = _mask(face.vertex_indices)
-        return [f for f, m in zip(self.facets(), self._facet_masks()) if m & mask == mask]
+        return [f for f, m in zip(self._facets, self._masks) if m & mask == mask]
 
     def _closure(self, face: FaceDescriptor) -> FaceDescriptor:
         """Smallest face containing the vertex set, from the incidences alone.
@@ -397,7 +382,7 @@ class Polytope:
         """
         mask = _mask(face.vertex_indices)
         closure = (1 << len(self._vertices)) - 1
-        for m in self._facet_masks():
+        for m in self._masks:
             if m & mask == mask:
                 closure &= m
         return FaceDescriptor(_indices(closure))
@@ -405,7 +390,6 @@ class Polytope:
     def _contains_scaled(self, nums: Sequence[int], den: int) -> bool:
         """Membership of the point nums / den, for int nums and an int den > 0."""
         self.hull_manifold()
-        self.facets()
         return all(_dot(a, nums) + c * den == 0 for a, c in self._equation_rows) and all(
             _dot(a, nums) <= b * den for a, b in self._facet_rows
         )
@@ -441,7 +425,7 @@ class Polytope:
             if self._faces is not None:
                 return self._faces
         full = (1 << len(self._vertices)) - 1
-        masks = self._facet_masks()
+        masks = self._masks
         seen = {full}
         queue = [full]
         while queue:

@@ -91,6 +91,8 @@ class TestParseErrors:
             (jsonio.cortege_from_json, {"functionals": []}),
             (jsonio.preorder_from_json, {}),
             (jsonio.disk_body_from_json, {"disks": [{"radius": "1"}]}),
+            (jsonio.polytope_from_json, {"ambient_dim": True, "vertices": [["0"], ["1"]]}),
+            (jsonio.polytope_from_json, {"ambient_dim": 1.0, "vertices": [["0"], ["1"]]}),
         ],
     )
     def test_malformed_documents(self, builder, doc):

@@ -91,7 +91,12 @@ class TestFacets:
         assert len(simplex3.facets()) == 4
 
     def test_single_point_has_no_facets(self):
-        assert fx.Polytope([(1, 2)]).facets() == ()
+        p = fx.Polytope([(1, 2)])
+        assert p.facets() == ()
+        assert p.vertices == (pt(1, 2),)
+        assert p.removed_points == ()
+        assert p.contains(pt(1, 2))
+        assert not p.contains(pt(1, 3))
 
     def test_facets_tight_sets_cover_inequality(self, cube3):
         for facet in cube3.facets():
@@ -268,6 +273,47 @@ class TestFaceLattice:
     def test_all_faces_are_faces(self, octa):
         for face in octa.all_faces():
             assert octa.is_face(face)
+
+
+class TestFacetsBuiltOnce:
+    """The constructor is the one place that enumerates facets: a sub-polytope
+    keeps every vertex of its subset, and no later query enumerates again."""
+
+    def test_face_polytope_keeps_every_vertex(self, fixture_polytopes):
+        checked = 0
+        for polytope in fixture_polytopes.values():
+            n = len(polytope.vertices)
+            if n > 8:
+                continue
+            for size in range(1, n + 1):
+                for subset in itertools.combinations(range(n), size):
+                    face = fx.FaceDescriptor(subset)
+                    points = polytope.face_points(face)
+                    sub = polytope.face_polytope(face)
+                    assert sub.vertices == points, subset
+                    assert sub.removed_points == ()
+                    expected = facelex.polytope._hull_facets(points)
+                    assert [(f.functional, f.offset, f.tight_vertices) for f in sub.facets()] == expected
+                    checked += 1
+        assert checked == 806
+
+    def test_only_construction_enumerates_facets(self, monkeypatch):
+        calls = count_calls(monkeypatch, facelex.polytope, "_hull_facets")
+        p = cube(3)
+        assert len(calls) == 1
+        top = fx.FaceDescriptor((1, 3, 5, 7))
+        diagonal = fx.FaceDescriptor((0, 7))
+        subs = [p.face_polytope(top), p.face_polytope(diagonal)]
+        assert len(calls) == 3
+        assert p.face_polytope(top) is subs[0]
+        inside = pt(Fraction(1, 2), Fraction(1, 2), 1)
+        for body in [p] + subs:
+            body.facets()
+            if body.contains(inside):
+                body.smallest_face_containing(inside)
+            body.is_face(fx.FaceDescriptor((0,)))
+            body.all_faces()
+        assert len(calls) == 3
 
 
 class TestIncidenceQueries:
