@@ -23,7 +23,6 @@ from .core import (
     LinearFunctional,
     Point,
     Rational,
-    affine,
     affine_hull,
     barycenter,
     format_rational,
@@ -111,7 +110,6 @@ __all__ = [
     "Whole",
     "WholeBodyNotProperError",
     "ZeroFunctionalError",
-    "affine",
     "affine_hull",
     "barycenter",
     "certify",

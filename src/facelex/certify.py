@@ -102,10 +102,12 @@ def certify(polytope: Polytope, face: FaceDescriptor) -> FaceCertificate | NotAF
     For a face, the certificate function is the unweighted sum of the
     slacks of those facets: nonnegative on the polytope and zero exactly on
     the intersection of their tight sets, which is the face.  For a
-    non-face, the witness pairs a vertex w of b's true smallest face (not
+    non-face, the witness pairs a vertex w of b's true smallest face F (not
     in the candidate) with a point z past b along b - w, stepped by ratio
-    tests against that face's facets and halved once whenever the step
-    would land on its boundary; only this branch computes b.
+    tests against the polytope's facets and halved once whenever the step
+    would land on the boundary; only this branch computes b.  The ray stays
+    in aff(F), and P meets aff(F) in F because F is a face, so it leaves P
+    where it leaves F; the facets through F have speed 0 and never bound.
     """
     _check_proper(polytope, face)
     smallest = polytope._closure(face)
@@ -113,11 +115,10 @@ def certify(polytope: Polytope, face: FaceDescriptor) -> FaceCertificate | NotAF
         b = polytope.barycenter_of(face)
         w_index = next(i for i in smallest.vertex_indices if i not in face.as_set())
         w = polytope.vertices[w_index]
-        host = polytope.face_polytope(smallest)
         direction = b - w
         t = Fraction(1)
         bounded = False
-        for facet in host.facets():
+        for facet in polytope.facets():
             speed = facet.functional(direction)
             if speed > 0:
                 bound = facet.slack(b) / speed

@@ -144,8 +144,7 @@ def _run_certify(args) -> int:
     if isinstance(result, FaceCertificate):
         if args.cross_check:
             ok = (
-                polytope.is_face(face)
-                and verify_certificate(polytope, face, result).accepted
+                verify_certificate(polytope, face, result).accepted
                 and oracle_refute_face(polytope, face, _CROSS_CHECK_TRIALS) is None
             )
             if not ok:
@@ -153,9 +152,16 @@ def _run_certify(args) -> int:
                 return EXIT_CROSS_CHECK
         _emit({"certificate": jsonio.certificate_to_json(result)}, args.out)
         return EXIT_OK
-    if args.cross_check and polytope.is_face(face):
-        print("cross-check failed: witness produced for a true face", file=sys.stderr)
-        return EXIT_CROSS_CHECK
+    if args.cross_check:
+        # The witness as NotAFace defines it, checked apart from the incidences.
+        w, z = result.witness
+        b, direction = polytope.barycenter_of(face), z - w
+        t = next(((b[k] - w[k]) / v for k, v in enumerate(direction) if v), 0)
+        on_segment = 0 < t < 1 and w + direction.scaled(t) == b
+        in_body = polytope.contains(w) and polytope.contains(z)
+        if not (in_body and on_segment and not polytope.face_polytope(face).contains(w)):
+            print("cross-check failed: the witness does not refute the face", file=sys.stderr)
+            return EXIT_CROSS_CHECK
     _emit(jsonio.not_a_face_to_json(result), args.out)
     return EXIT_NEGATIVE
 

@@ -7,6 +7,7 @@ immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -14,7 +15,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, SizeGuardExceededError
 
 # Exact scalar type used throughout: arbitrary-precision numerator, positive
 # denominator, always in lowest terms.  fractions.Fraction guarantees all
@@ -25,14 +26,23 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _guard_digits(part: str, digits: int) -> None:
+    """Refuse more digits than Python converts between int and str (0: no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise SizeGuardExceededError(f"{part} has {digits} digits; Python's int/str limit is {limit}")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse a decimal-free rational literal: ``"p/q"`` or ``"p"``."""
+    """Parse ``"p/q"`` or ``"p"``; too many digits raise :class:`SizeGuardExceededError`."""
     body = text.strip()
     num_text, slash, den_text = body.partition("/")
     try:
         num = int(num_text)
         den = int(den_text) if slash else 1
     except ValueError as exc:
+        for part, literal in (("numerator", num_text), ("denominator", den_text)):
+            _guard_digits(part, sum(ch.isdigit() for ch in literal))
         raise ValueError(f"not a rational literal: {text!r}") from exc
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
@@ -40,10 +50,21 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a rational as lowest-terms ``"p/q"``, or ``"p"`` for integers."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Lowest-terms ``"p/q"``, or ``"p"``; too many digits raise :class:`SizeGuardExceededError`."""
+    try:
+        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        for part, n in (("numerator", value.numerator), ("denominator", value.denominator)):
+            _guard_digits(part, _decimal_digits(n))
+        raise
+
+
+def _decimal_digits(n: int) -> int:
+    """Decimal digits of |n|, counted without converting it to a string."""
+    n, digits = abs(n), abs(n).bit_length() * 301029995 // 10**9  # never above the count
+    while n >= 10**digits:
+        digits += 1
+    return digits
 
 
 def _require_same_dim(a: int, b: int) -> None:
@@ -103,9 +124,6 @@ class Point:
         factor = Fraction(factor)
         return Point(tuple(factor * a for a in self.coords))
 
-    def __rmul__(self, factor: Fraction | int) -> Point:
-        return self.scaled(factor)
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
 
@@ -164,10 +182,6 @@ class LinearFunctional:
     def __neg__(self) -> LinearFunctional:
         return LinearFunctional(tuple(-c for c in self.coeffs))
 
-    def scaled(self, factor: Fraction | int) -> LinearFunctional:
-        factor = Fraction(factor)
-        return LinearFunctional(tuple(factor * c for c in self.coeffs))
-
     def primitive(self) -> LinearFunctional:
         """Positive rescaling to coprime integer coefficients."""
         return LinearFunctional(primitive_tuple(self.coeffs))
@@ -189,12 +203,6 @@ class AffineFunctional:
 
     def __call__(self, x: Point) -> Fraction:
         return self.linear(x) + self.offset
-
-
-def affine(coeffs: Iterable[Fraction | int | str], offset: Fraction | int | str = 0) -> AffineFunctional:
-    """Convenience constructor for an affine functional."""
-    off = parse_rational(offset) if isinstance(offset, str) else Fraction(offset)
-    return AffineFunctional(LinearFunctional(tuple(coeffs)), off)
 
 
 def primitive_tuple(values: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -358,6 +358,7 @@ class DiskBody:
         self._disks = tuple(items)
         self._lock = threading.Lock()
         self._edges: tuple[Edge, ...] | None = None
+        self._touching: tuple[tuple[int, ...], ...] = ()  # every disk on each edge
         self._faces: tuple[DiskFace, ...] | None = None
         self._hull_polygon: object = _UNSET
 
@@ -416,21 +417,24 @@ class DiskBody:
         with self._lock:
             if self._edges is not None:
                 return self._edges
-        found: dict[tuple, Edge] = {}
+        found: dict[tuple, tuple[Edge, tuple[int, ...]]] = {}
         n = len(self._disks)
         for i in range(n):
             for j in range(i + 1, n):
                 for normal in _outer_bitangent_normals(self._disks[i], self._disks[j]):
-                    edge = self._edge_for_normal(normal)
-                    if edge is not None:
-                        found.setdefault((edge.normal.coeffs, edge.offset), edge)
-        edges = tuple(sorted(found.values(), key=lambda e: (e.normal.coeffs, e.offset)))
+                    hit = self._edge_for_normal(normal)
+                    if hit is not None:
+                        found.setdefault((hit[0].normal.coeffs, hit[0].offset), hit)
+        hits = sorted(found.values(), key=lambda hit: (hit[0].normal.coeffs, hit[0].offset))
+        edges = tuple(edge for edge, _touching in hits)
         with self._lock:
-            self._edges = edges
+            self._edges, self._touching = edges, tuple(touching for _edge, touching in hits)
         return edges
 
-    def _edge_for_normal(self, normal: LinearFunctional) -> Edge | None:
-        """The hull edge supported by ``normal`` (max orientation), if any."""
+    def _edge_for_normal(self, normal: LinearFunctional) -> tuple[Edge, tuple[int, ...]] | None:
+        """The hull edge supported by ``normal`` (max orientation), if any,
+        and every disk touching it: tangent disks can share an endpoint, and
+        the edge names one disk per end."""
         values = self._support_values_max(normal)
         best = max(values)
         attaining = [i for i, v in enumerate(values) if v == best]
@@ -463,12 +467,13 @@ class DiskBody:
                 f"bitangent offset for direction {normal.coeffs} is irrational"
             )
         scaled = primitive_tuple(tuple(normal.coeffs) + (best.as_rational(),))
-        return Edge(
+        edge = Edge(
             disks=(first[0], last[0]),
             normal=LinearFunctional(scaled[:-1]),
             offset=scaled[-1],
             endpoints=(first[1], last[1]),
         )
+        return edge, tuple(attaining)
 
     def faces(self) -> tuple[DiskFace, ...]:
         """Symbolic face list: the body, edges, tangency points, arc families.
@@ -486,13 +491,13 @@ class DiskBody:
             for end in (0, 1):
                 if self._disks[edge.disks[end]].radius > 0:
                     faces.append(TangencyPoint(edge=edge, end=end))
-        faces.extend(self._arc_families(edges))
+        faces.extend(self._arc_families(edges, self._touching))
         result = tuple(faces)
         with self._lock:
             self._faces = result
         return result
 
-    def _arc_families(self, edges: Sequence[Edge]) -> list[ArcFamily]:
+    def _arc_families(self, edges: Sequence[Edge], touching: Sequence[tuple[int, ...]]) -> list[ArcFamily]:
         families: list[ArcFamily] = []
         if not edges:
             dominant = self._dominant_disk()
@@ -502,7 +507,7 @@ class DiskBody:
             return [ArcFamily(disk=dominant, start=None, end=None, representative=representative)]
         for i in range(len(self._disks)):
             normals = sorted(
-                {e.normal.coeffs for e in edges if i in e.disks}, key=_ccw_sort_key
+                {e.normal.coeffs for e, disks in zip(edges, touching) if i in disks}, key=_ccw_sort_key
             )
             if not normals:
                 continue

@@ -56,7 +56,7 @@ class UnsupportedConfigurationError(FaceLexError):
 
 
 class SizeGuardExceededError(FaceLexError):
-    """Input too large for a brute-force oracle."""
+    """Input too large for a brute-force oracle, or for Python's int/str conversion."""
 
 
 class FormatError(FaceLexError):

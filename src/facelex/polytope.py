@@ -23,11 +23,11 @@ from .core import (
     IncrementalSpan,
     LinearFunctional,
     Point,
+    _over_common_denominator,
     _require_same_dim,
     affine_hull,
     barycenter,
     nullspace_basis,
-    primitive_tuple,
 )
 from .errors import EmptyFaceError, NotAMemberError
 
@@ -69,80 +69,65 @@ class Facet:
 
 def _intrinsic_chart(
     points: Sequence[Point],
-) -> tuple[int, list[tuple[Fraction, ...]], Callable[[Sequence[Fraction], Fraction], tuple[tuple[Fraction, ...], Fraction]]]:
-    """Coordinates of the points in their affine hull, and the way back.
+) -> tuple[int, list[tuple[int, ...]], Callable[[Sequence[int]], tuple[LinearFunctional, Fraction]]]:
+    """Int coordinates of the points in their affine hull, and the way back.
 
-    Returns the intrinsic dimension d, the intrinsic coordinates t of every
-    point, and a map taking an intrinsic inequality w.t <= c to its
-    primitive ambient (coeffs, offset) pair.  The ambient coefficients lie
-    in the span of the hull directions, so each facet has one ambient form
-    whatever base point and direction basis the hull was given.
+    The points scaled by the lcm L of their denominators are int vectors X_i.
+    One span pass leaves X_i - X_0 spanned by echelon rows D_j with pivot
+    piv_j at column c_j, zero at the other pivots: v = sum y_j D_j has
+    v[c_j] = piv_j y_j, so the pivot entries of X_i - X_0 are coordinates.
+    w.t <= c maps back to the primitive row (L a, c + a.X_0) for the one a
+    in the span with a.D_j = piv_j w_j, so each facet has one ambient form:
+    a is w at the pivots when D = I (full dimension), else a = D^T y with
+    (D D^T) y = diag(piv) w, and the kernel of [D D^T | -diag(piv)] holds
+    (y_k, e_k) for every k, scaled once to ints.
     """
-    hull = affine_hull(points)
-    d = hull.dim
-    ambient = hull.ambient_dim
+    scaled = [p._scaled for p in points]
+    big = lcm(*(den for _nums, den in scaled))
+    xs = [[v * (big // den) for v in nums] for nums, den in scaled]
+    x0 = xs[0]
+    span = IncrementalSpan(len(x0))
+    for x in xs[1:]:
+        span.add([a - b for a, b in zip(x, x0)])
+    rows = [row for _c, row in span._rows]
+    d = len(rows)
+    back, m = rows, 1
+    if 0 < d < len(x0):
+        gram = [[_dot(r, s) for s in rows] + [-r[c] if k == j else 0 for k in range(d)]
+                for j, (c, r) in enumerate(span._rows)]
+        kernel = nullspace_basis(gram, 2 * d)
+        ys, m = _over_common_denominator([v for vec in kernel for v in vec[:d]])
+        back = [[_dot(ys[k * d : k * d + d], column) for column in zip(*rows)] for k in range(d)]
 
-    if d == ambient:
+    def to_ambient(ray: Sequence[int]) -> tuple[LinearFunctional, Fraction]:
+        a = [_dot(ray[:-1], column) for column in zip(*back)]
+        row = _primitive([big * v for v in a] + [m * ray[-1] + _dot(a, x0)])
+        return LinearFunctional(row[:-1]), Fraction(row[-1])
 
-        def to_ambient(w: Sequence[Fraction], c: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
-            normalized = primitive_tuple(tuple(w) + (c,))
-            return normalized[:-1], normalized[-1]
-
-        return d, [p.coords for p in points], to_ambient
-
-    # Intrinsic coordinates t with x = base + D t; D has independent
-    # columns, so G = (D^T D)^{-1} D^T is an exact left inverse.  The gram
-    # matrix is invertible, so the kernel of [D^T D | -D^T] has one vector
-    # per ambient coordinate k, and that vector is (G[:, k], e_k).
-    columns = [dir_.coords for dir_ in hull.directions]  # rows here = D columns
-    rows = [
-        [sum(a * b for a, b in zip(columns[i], columns[j])) for j in range(d)] + [-v for v in columns[i]]
-        for i in range(d)
-    ]
-    g_rows = [vec[:d] for vec in nullspace_basis(rows, d + ambient)]
-    # g_rows[k][j] = G[j][k]; intrinsic coords of x are G (x - base).
-    base = hull.base
-
-    def coords_of(p: Point) -> tuple[Fraction, ...]:
-        delta = p - base
-        return tuple(
-            sum(g_rows[k][j] * delta.coords[k] for k in range(ambient))
-            for j in range(d)
-        )
-
-    def to_ambient(w: Sequence[Fraction], c: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
-        coeffs = [sum(w[j] * g_rows[k][j] for j in range(d)) for k in range(ambient)]
-        offset = c + sum(ck * bk for ck, bk in zip(coeffs, base.coords))
-        normalized = primitive_tuple(tuple(coeffs) + (offset,))
-        return normalized[:-1], normalized[-1]
-
-    return d, [coords_of(p) for p in points], to_ambient
+    return d, [tuple(x[c] - x0[c] for c, _row in span._rows) for x in xs], to_ambient
 
 
 def _hull_facets(points: Sequence[Point]) -> list[tuple[LinearFunctional, Fraction, tuple[int, ...]]]:
     """Facets of conv(points) relative to its affine hull, in ambient form.
 
     Double description (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda &
-    Prodon 1996): in intrinsic coordinates t, the valid inequalities
-    w.t <= c form the cone {(w, c) : w.t_i - c <= 0 for every point i},
-    whose extreme rays are exactly the facets.  The cone of d + 1
-    affinely independent points is a simplicial seed; every further point
-    cuts it, keeping the rays on its side and combining each adjacent pair
-    of rays it separates into a ray on its hyperplane.  Each ray carries
-    its zero set as a bitmask over the points cut so far.  Two rays are
-    adjacent when their common zero set Z has at least d - 1 points and no
-    third ray's zero set contains Z; the test is combinatorial, so it is
-    exact on degenerate inputs.  Coordinates are scaled by their common
-    denominator, so the cutting runs on int only.  Facets are returned
-    sorted by (coefficients, offset), each with its tight point indices.
+    Prodon 1996): in the int coordinates t of :func:`_intrinsic_chart`, the
+    valid inequalities w.t <= c form the cone {(w, c) : w.t_i - c <= 0 for
+    every point i}, whose extreme rays are exactly the facets.  The rows S
+    of d + 1 affinely independent points seed it: the kernel of [S | -I]
+    holds (S^-1 e_k, e_k), and -S^-1 e_k is the ray negative on row k only.
+    Every further point cuts the cone, keeping the rays on its side and
+    combining each adjacent pair of rays it separates into a ray on its
+    hyperplane.  Each ray carries its zero set as a bitmask over the points
+    cut so far.  Two rays are adjacent when their common zero set Z has at
+    least d - 1 points and no third ray's zero set contains Z; the test is
+    combinatorial, so it is exact on degenerate inputs.  Facets are
+    returned sorted by (coefficients, offset), with their tight points.
     """
     d, intrinsic, to_ambient = _intrinsic_chart(points)
     if d == 0:
         return []
-    scale = lcm(*(v.denominator for t in intrinsic for v in t))
-    # Row i pairs with a ray (w, c) as w.(scale t_i) - c, so a ray's c is
-    # scale times the offset of its inequality.
-    rows = [tuple(int(v * scale) for v in t) + (-1,) for t in intrinsic]
+    rows = [t + (-1,) for t in intrinsic]
 
     span = IncrementalSpan(d + 1)
     seed = []
@@ -152,13 +137,12 @@ def _hull_facets(points: Sequence[Point]) -> list[tuple[LinearFunctional, Fracti
             if len(seed) == d + 1:
                 break
     seed_mask = sum(1 << i for i in seed)
-    rays: list[tuple[list[int], int]] = []
-    for j in seed:
-        kernel = nullspace_basis([rows[i] for i in seed if i != j], d + 1)
-        ray = [int(v) for v in primitive_tuple(kernel[0])]
-        if _dot(ray, rows[j]) > 0:
-            ray = [-v for v in ray]
-        rays.append((ray, seed_mask & ~(1 << j)))
+    minus_identity = [tuple(-int(k == j) for k in range(d + 1)) for j in range(d + 1)]
+    kernel = nullspace_basis([rows[i] + minus_e for i, minus_e in zip(seed, minus_identity)], 2 * d + 2)
+    rays = [
+        (_primitive([-v for v in _over_common_denominator(vec[: d + 1])[0]]), seed_mask & ~(1 << i))
+        for i, vec in zip(seed, kernel)
+    ]
 
     for i, row in enumerate(rows):
         if seed_mask >> i & 1:
@@ -182,15 +166,10 @@ def _hull_facets(points: Sequence[Point]) -> list[tuple[LinearFunctional, Fracti
                     continue
                 vq = values[q]
                 ray = [vp * a - vq * b for a, b in zip(rays[q][0], rays[p][0])]
-                g = gcd(*ray)
-                kept.append(([v // g for v in ray], common | bit))
+                kept.append((_primitive(ray), common | bit))
         rays = kept
 
-    facets = []
-    for ray, zeros in rays:
-        coeffs, offset = to_ambient(ray[:-1], Fraction(ray[-1], scale))
-        tight = tuple(i for i in range(len(points)) if zeros >> i & 1)
-        facets.append((LinearFunctional(coeffs), offset, tight))
+    facets = [(*to_ambient(ray), _indices(zeros)) for ray, zeros in rays]
     return sorted(facets, key=lambda item: (item[0].coeffs, item[1]))
 
 
@@ -198,9 +177,10 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
 
-def _int_rows(facets: Iterable[Facet]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Facet inequalities a.x <= b as int rows (a, b); facets are primitive integers."""
-    return tuple((tuple(c.numerator for c in f.functional.coeffs), f.offset.numerator) for f in facets)
+def _primitive(vec: Sequence[int]) -> list[int]:
+    """A nonzero int vector divided by the gcd of its entries."""
+    g = gcd(*vec)
+    return [v // g for v in vec]
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -273,7 +253,8 @@ class Polytope:
         self._ambient_dim = ambient
         self._facets = facets
         self._masks = tuple(_mask(f.tight_vertices) for f in facets)
-        self._facet_rows = _int_rows(facets)
+        # Facet inequalities a.x <= b as int rows (a, b): facets are primitive integers.
+        self._facet_rows = tuple((f.functional._scaled[0], f.offset.numerator) for f in facets)
         # Guards the lazily built hull, face lattice and sub-polytope caches.
         self._lock = threading.Lock()
         self._hull: AffineManifold | None = None

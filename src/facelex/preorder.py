@@ -9,10 +9,10 @@ invariant, and their minimizer sets over polytopes are faces.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from .core import LinearFunctional, Point, origin
+from .core import LinearFunctional, Point
 from .polytope import FaceDescriptor, Polytope
 from .stepaffine import StepAffineFunction
 
@@ -28,12 +28,13 @@ class LexPreorder:
     """A total preorder compared level by level through linear functionals."""
 
     levels: tuple[LinearFunctional, ...]
+    _step: StepAffineFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(self.levels))
-        # Reuse cortege validation with zero offsets: rejects zero or
-        # dependent levels and pins rank <= ambient dimension.
-        StepAffineFunction.step_linear(self.levels)
+        # The step-linear function rejects zero or dependent levels, and it is
+        # the preorder: x precedes y when its value at y - x is >= 0.
+        object.__setattr__(self, "_step", StepAffineFunction.step_linear(self.levels))
 
     @property
     def rank(self) -> int:
@@ -44,22 +45,20 @@ class LexPreorder:
         return self.levels[0].dim
 
     def step_function(self) -> StepAffineFunction:
-        return StepAffineFunction.step_linear(self.levels)
+        return self._step
 
     def compare(self, x: Point, y: Point) -> ComparisonResult:
         """LESS means x strictly precedes y; EQUIVALENT when all levels tie."""
-        diff = y - x
-        for level in self.levels:
-            value = level(diff)
-            if value > 0:
-                return ComparisonResult.LESS
-            if value < 0:
-                return ComparisonResult.GREATER
+        value = self._step(y - x)
+        if value > 0:
+            return ComparisonResult.LESS
+        if value < 0:
+            return ComparisonResult.GREATER
         return ComparisonResult.EQUIVALENT
 
     def in_positive_cone(self, x: Point) -> bool:
         """Whether the origin precedes (or ties) x."""
-        return self.compare(origin(self.dim), x) is not ComparisonResult.GREATER
+        return self._step(x) >= 0
 
     def min_set(self, polytope: Polytope) -> FaceDescriptor:
         """Minimizers of the preorder over the polytope, by sequential filtering.

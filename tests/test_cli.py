@@ -55,6 +55,12 @@ def files(tmp_path_factory):
     arc_point = {"kind": "arc_point", "disk": 0, "direction": ["1", "0"]}
     write("nested_arc_family.json", {"kind": "arc_family", "representative": {
         "kind": "arc_family", "representative": arc_point}})
+    write("huge_literal.json", {"vertices": [["1" + "0" * 4300]]})
+    big = 10**3000
+    write("huge_simplex.json", {"vertices": [
+        [str(v) for v in row]
+        for row in [(0, 0, 0), (big + 7, 0, 1), (0, big + 9, 3), (1, 5, big + 11)]
+    ]})
     (root / "not_json.json").write_text("{oops", encoding="utf-8")
     paths["not_json.json"] = str(root / "not_json.json")
     (root / "deep.json").write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
@@ -84,6 +90,38 @@ class TestCertifyCommand:
             "certify", "--input", files["square.json"], "--face", "0", "--cross-check"
         )
         assert result.returncode == 0
+
+    def test_cross_check_rejects_a_bogus_witness(self, files, monkeypatch, capsys):
+        # (v, v) for a vertex v of the candidate refutes nothing: the
+        # candidate's barycenter is not strictly inside the segment.
+        from facelex import cli
+
+        square = unit_square()
+        bogus = fx.NotAFace(witness=(square.vertices[0],) * 2, smallest_face=square.all_indices())
+        monkeypatch.setattr(cli, "certify", lambda polytope, face: bogus)
+        argv = ["certify", "--input", files["square.json"], "--face", "0,2", "--cross-check"]
+        assert cli.main(argv) == cli.EXIT_CROSS_CHECK
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "witness does not refute the face" in captured.err
+        assert cli.main(argv[:-1]) == cli.EXIT_NEGATIVE  # only the cross-check looks
+
+    def test_cross_check_accepts_true_witnesses(self, files):
+        result = run_cli(
+            "certify", "--input", files["square.json"], "--face", "0,2", "--cross-check"
+        )
+        assert result.returncode == 1
+        assert result.stderr == ""
+
+    def test_cross_check_rejects_a_bogus_certificate(self, files, monkeypatch, capsys):
+        # A verified certificate of the vertex 0, handed back for the edge 0,1.
+        from facelex import cli
+
+        corner = fx.certify(unit_square(), fx.FaceDescriptor((0,)))
+        monkeypatch.setattr(cli, "certify", lambda polytope, face: corner)
+        argv = ["certify", "--input", files["square.json"], "--face", "0,1", "--cross-check"]
+        assert cli.main(argv) == cli.EXIT_CROSS_CHECK
+        assert "certificate disagrees with oracles" in capsys.readouterr().err
 
     def test_improper_face_is_usage_error(self, files):
         result = run_cli("certify", "--input", files["square.json"], "--face", "0,1,2,3")
@@ -231,6 +269,21 @@ class TestErrorPaths:
         )
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
+
+    def test_oversized_input_number_is_a_size_guard(self, files):
+        result = run_cli("faces", "--input", files["huge_literal.json"])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: numerator has 4301 digits; Python's int/str limit is 4300\n"
+
+    def test_oversized_output_number_is_a_size_guard(self, files):
+        # The body is valid and its face list prints; its facet normals have
+        # more digits than Python turns into a string.
+        assert run_cli("faces", "--input", files["huge_simplex.json"]).returncode == 0
+        result = run_cli("certify", "--input", files["huge_simplex.json"], "--face", "0")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: numerator has 6001 digits; Python's int/str limit is 4300\n"
 
     def test_missing_file(self):
         result = run_cli("faces", "--input", "/nonexistent.json")

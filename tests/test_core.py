@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,60 @@ class TestRationalStrings:
     def test_format(self):
         assert fx.format_rational(Fraction(1, 2)) == "1/2"
         assert fx.format_rational(Fraction(-8, 4)) == "-2"
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default cap on int/str conversion, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(previous)
+
+
+class TestDigitLimit:
+    """Numbers past Python's int/str digit cap are a size guard with a short
+    message, at both boundaries, not a malformed literal or a raw ValueError."""
+
+    def test_parse_at_the_limit(self, digit_limit):
+        assert fx.parse_rational("1" + "0" * (digit_limit - 1)) == 10 ** (digit_limit - 1)
+
+    @pytest.mark.parametrize(
+        "text, part, digits",
+        [
+            ("1" + "0" * 4300, "numerator", 4301),
+            ("-" + "7" * 5000 + "/3", "numerator", 5000),
+            ("1/" + "9" * 4400, "denominator", 4400),
+        ],
+        ids=["integer", "fraction", "denominator"],
+    )
+    def test_parse_over_the_limit(self, digit_limit, text, part, digits):
+        with pytest.raises(fx.SizeGuardExceededError) as info:
+            fx.parse_rational(text)
+        message = str(info.value)
+        assert message == f"{part} has {digits} digits; Python's int/str limit is 4300"
+        assert len(message) < 200
+
+    def test_format_at_the_limit(self, digit_limit):
+        assert fx.format_rational(Fraction(-(10**digit_limit - 1), 7)) == "-" + "9" * digit_limit + "/7"
+
+    @pytest.mark.parametrize(
+        "value, part, digits",
+        [
+            (Fraction(10**4300), "numerator", 4301),
+            (Fraction(1, 3 * 10**6000), "denominator", 6001),
+            (Fraction(-(2**20000), 3), "numerator", 6021),
+        ],
+        ids=["integer", "denominator", "fraction"],
+    )
+    def test_format_over_the_limit(self, digit_limit, value, part, digits):
+        with pytest.raises(fx.SizeGuardExceededError) as info:
+            fx.format_rational(value)
+        message = str(info.value)
+        assert message == f"{part} has {digits} digits; Python's int/str limit is 4300"
+        assert len(message) < 200
 
 
 class TestExactness:

@@ -332,3 +332,89 @@ class TestFaceDefinitionOnEdges:
                     # membership on the edge line equals being in the segment
                     for w, lam in ((u, s), (v, t)):
                         assert 0 <= lam <= 1
+
+
+def _face_data(face):
+    """A face as plain data: edges by (disks, normal, offset, endpoints)."""
+    if isinstance(face, fx.Whole):
+        return ("whole",)
+    if isinstance(face, fx.Edge):
+        return ("edge", face.disks, face.normal.coeffs, face.offset, tuple(p.coords for p in face.endpoints))
+    if isinstance(face, fx.TangencyPoint):
+        return ("tangency", face.edge.normal.coeffs, face.end, face.point.coords)
+    assert isinstance(face, fx.ArcFamily)
+    bounds = tuple(None if f is None else f.coeffs for f in (face.start, face.end))
+    return ("arcs", face.disk, bounds, face.representative.disk, face.representative.direction.coeffs)
+
+
+class TestClosedFormFaceLists:
+    """Whole face lists worked out by hand, on bodies that reach the corner
+    cases of the edge and arc construction."""
+
+    def test_point_triangle(self):
+        # Three corners: each pair gives two candidate bitangent normals, one
+        # of which the third corner beats (no edge); each corner's family is
+        # the open normal cone between its two edges.
+        body = fx.DiskBody([((0, 0), 0), ((4, 0), 0), ((0, 3), 0)])
+        assert [_face_data(f) for f in body.faces()] == [
+            ("whole",),
+            ("edge", (2, 0), (-1, 0), 0, ((0, 3), (0, 0))),
+            ("edge", (0, 1), (0, -1), 0, ((0, 0), (4, 0))),
+            ("edge", (1, 2), (3, 4), 12, ((4, 0), (0, 3))),
+            ("arcs", 0, ((-1, 0), (0, -1)), 0, (1, 1)),
+            ("arcs", 1, ((0, -1), (3, 4)), 1, (-1, -1)),
+            ("arcs", 2, ((3, 4), (-1, 0)), 2, (-1, -2)),
+        ]
+
+    def test_disk_inside_another(self):
+        # |(1, 0)| + 1 <= 5: no outer bitangent, and the outer disk is the body.
+        body = fx.DiskBody([((0, 0), 5), ((1, 0), 1)])
+        assert [_face_data(f) for f in body.faces()] == [
+            ("whole",),
+            ("arcs", 0, (None, None), 0, (1, 0)),
+        ]
+
+    def test_bitangent_with_vertical_root(self):
+        # From the point (3, 3) the disk about (5, -1) of radius 2 has the
+        # vertical tangent x = 3, where the quadratic's leading term vanishes,
+        # and the tangent 3x + 4y = 21, touching at (5, -1) + 2 (3, 4) / 5.
+        body = fx.DiskBody([((5, -1), 2), ((3, 3), 0)])
+        touch = (Fraction(31, 5), Fraction(3, 5))
+        assert [_face_data(f) for f in body.faces()] == [
+            ("whole",),
+            ("edge", (1, 0), (-1, 0), -3, ((3, 3), (3, -1))),
+            ("edge", (0, 1), (3, 4), 21, (touch, (3, 3))),
+            ("tangency", (-1, 0), 1, (3, -1)),
+            ("tangency", (3, 4), 0, touch),
+            ("arcs", 0, ((-1, 0), (3, 4)), 0, (1, 2)),
+            ("arcs", 1, ((3, 4), (-1, 0)), 1, (-1, -2)),
+        ]
+
+    def test_disks_tangent_at_an_edge_end(self):
+        # The disk about (4, 4) of radius 3 lies in the one about (4, 6) of
+        # radius 5, and both touch y = 1 at (4, 1).  The small disk meets
+        # only that edge, so its one gap is the circle minus one normal (the
+        # large disk wins there); the large disk's arc runs from the normal
+        # (20, -21) of the tangent through (6, 1) round to (0, -1).
+        body = fx.DiskBody([((6, 1), 0), ((4, 4), 3), ((4, 6), 5)])
+        touch = (Fraction(216, 29), Fraction(69, 29))
+        assert [_face_data(f) for f in body.faces()] == [
+            ("whole",),
+            ("edge", (1, 0), (0, -1), -1, ((4, 1), (6, 1))),
+            ("edge", (0, 2), (20, -21), 99, ((6, 1), touch)),
+            ("tangency", (0, -1), 0, (4, 1)),
+            ("tangency", (20, -21), 1, touch),
+            ("arcs", 0, ((0, -1), (20, -21)), 0, (-10, 11)),
+            ("arcs", 2, ((20, -21), (0, -1)), 2, (10, -11)),
+        ]
+
+    def test_tangent_disk_keeps_its_arc(self):
+        # The disk about (-1, 3) of radius 3 lies in the one about (1, 3) of
+        # radius 5, tangent at (-4, 3), an end of the edge x = -4; the large
+        # disk still owns the upper arc between the two vertical edges.
+        body = fx.DiskBody([((-1, 3), 3), ((1, -1), 5), ((1, 3), 5)])
+        arcs = [_face_data(f) for f in body.faces() if isinstance(f, fx.ArcFamily)]
+        assert arcs == [
+            ("arcs", 1, ((-1, 0), (1, 0)), 1, (0, 1)),
+            ("arcs", 2, ((1, 0), (-1, 0)), 2, (0, -1)),
+        ]

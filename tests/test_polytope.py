@@ -123,8 +123,9 @@ def _euler_poincare_holds(polytope: fx.Polytope) -> bool:
 
 
 class TestWorkBounds:
-    """Facet enumeration costs d + 1 nullspace solves however many points
-    there are: a count, so it pins the work without timing anything."""
+    """Facet enumeration costs one kernel for the seed cone, plus one for the
+    chart of a lower-dimensional hull, however many points there are: a
+    count, so it pins the work without timing anything."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -141,14 +142,14 @@ class TestWorkBounds:
     def test_five_cube(self, solves):
         p = fx.Polytope(list(itertools.product((0, 1), repeat=5)))
         assert len(p.facets()) == 10
-        assert len(solves) <= 6  # the subset loop made C(32, 5) = 201,376
+        assert len(solves) == 1  # the subset loop made C(32, 5) = 201,376
         assert len(p.all_faces()) == 3**5
 
     def test_five_cross_polytope(self, solves):
         points = [tuple(s if j == i else 0 for j in range(5)) for i in range(5) for s in (1, -1)]
         p = fx.Polytope(points)
         assert len(p.facets()) == 2**5
-        assert len(solves) <= 6
+        assert len(solves) == 1
         assert len(p.all_faces()) == 3**5
 
     def test_random_cloud(self, solves):
@@ -156,11 +157,30 @@ class TestWorkBounds:
         points = [pt(*(rng.randint(-50, 50) for _ in range(3))) for _ in range(40)]
         p = fx.Polytope(points)
         facets = p.facets()
-        assert len(solves) <= 4
+        assert len(solves) == 1
         assert all(f.slack(x) >= 0 for f in facets for x in points)
         assert all(p.contains(x) for x in p.removed_points)
         assert len(p.vertices) + len(p.removed_points) == len(points)
         assert _euler_poincare_holds(p)
+
+
+    @pytest.mark.parametrize(
+        "points, kernels",
+        [
+            (list(itertools.product((0, 1), repeat=5)), 1),
+            ([(0, 0), (4, 0), (0, 3)], 1),
+            ([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], 2),
+            ([(0, 0), (2, 1)], 2),
+            ([(3, 4)], 0),
+        ],
+        ids=["5-cube", "triangle", "square-in-3d", "segment-in-plane", "lone-point"],
+    )
+    def test_kernels_per_build(self, solves, points, kernels):
+        # The seed cone is one kernel of [S | -I]; a full-dimensional hull is
+        # charted by its pivot columns alone, a lower-dimensional one needs
+        # one more kernel to map facets back, and a point needs neither.
+        fx.Polytope(points)
+        assert len(solves) == kernels
 
 
 class TestContains:
