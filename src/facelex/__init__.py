@@ -41,7 +41,6 @@ from .diskhull import (
     QuadScalar,
     TangencyPoint,
     Whole,
-    exact_sqrt,
 )
 from .errors import (
     DimensionMismatchError,
@@ -115,7 +114,6 @@ __all__ = [
     "certify",
     "chain_certificate",
     "equivalence_report",
-    "exact_sqrt",
     "format_rational",
     "lex_preorder",
     "linear_independent",

@@ -43,10 +43,17 @@ def parse_rational(text: str) -> Fraction:
     except ValueError as exc:
         for part, literal in (("numerator", num_text), ("denominator", den_text)):
             _guard_digits(part, sum(ch.isdigit() for ch in literal))
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+        raise ValueError(f"not a rational literal: {_excerpt(text)}") from exc
     if den == 0:
-        raise ValueError(f"zero denominator: {text!r}")
+        raise ValueError(f"zero denominator: {_excerpt(text)}")
     return Fraction(num, den)
+
+
+def _excerpt(text: str, limit: int = 40) -> str:
+    """The literal for an error message: whole when short, else a prefix and its length."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 def format_rational(value: Fraction) -> str:

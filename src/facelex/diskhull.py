@@ -9,13 +9,19 @@ functional along the edge).
 
 Support values in an arbitrary rational direction live in a quadratic
 extension (center term plus radius times the direction norm), so exact
-comparisons use :class:`QuadScalar`.  Fixtures are restricted to
-configurations whose outer bitangents have rational coefficients; anything
-else raises :class:`UnsupportedConfigurationError`.
+comparisons use :class:`QuadScalar`.  Each pair of disks has its outer
+common tangents in closed form over Q(h), h the square root of the squared
+center distance minus the squared radius difference, and one
+``QuadScalar`` sign per disk decides whether a disk crosses such a line.
+A line that some disk crosses is not on the hull and is dropped whatever
+its data; only a hull edge whose normal is irrational raises
+:class:`UnsupportedConfigurationError`, since its edge, tangency points and
+certificates would not be rational.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -37,17 +43,6 @@ from .errors import (
 )
 from .polytope import Polytope
 from .stepaffine import Cortege
-
-
-def exact_sqrt(value: Fraction) -> Fraction | None:
-    """The exact rational square root, or None when irrational."""
-    if value < 0:
-        raise ValueError("square root of a negative rational")
-    num_root = math.isqrt(value.numerator)
-    den_root = math.isqrt(value.denominator)
-    if num_root * num_root == value.numerator and den_root * den_root == value.denominator:
-        return Fraction(num_root, den_root)
-    return None
 
 
 @total_ordering
@@ -315,6 +310,12 @@ class _AngleWithin:
         return isinstance(other, _AngleWithin) and _cross(self.vec, other.vec) == 0
 
 
+def _describe(disk: Disk) -> str:
+    """A disk for an error message, in plain rationals."""
+    x, y = disk.center.coords
+    return f"center ({x}, {y}) radius {disk.radius}"
+
+
 def _direction_between(start: Sequence[Fraction], end: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
     """A rational direction strictly inside the CCW open arc from start to end.
 
@@ -378,8 +379,9 @@ class DiskBody:
         """Exact minimum of a nonzero functional over the body, with its face.
 
         The minimum over one disk is ``l(center) - radius * |l|``; the
-        reported face is the arc point of the unique attaining disk, or the
-        bitangent edge when two attain the value together.
+        reported face is the bitangent edge when the attaining disks touch
+        the supporting line along a segment, and otherwise the arc point of
+        the largest attaining disk.
         """
         _require_same_dim(2, direction.dim)
         if direction.is_zero():
@@ -390,15 +392,15 @@ class DiskBody:
         ]
         best = min(values)
         attaining = [i for i, v in enumerate(values) if v == best]
-        if len(attaining) == 1:
-            return best, ArcPoint(disk=attaining[0], direction=direction.primitive())
-        outward = (-direction).primitive()
-        for edge in self.edges():
-            if edge.normal == outward:
-                return best, edge
-        raise UnsupportedConfigurationError(
-            "multiple disks attain the support without a rational bitangent edge"
-        )
+        if len(attaining) > 1:
+            outward = (-direction).primitive()
+            for edge in self.edges():
+                if edge.normal == outward:
+                    return best, edge
+        # Tied disks with no edge between them touch the line at one common
+        # point, which the largest of them names.
+        disk = max(attaining, key=lambda m: self._disks[m].radius)
+        return best, ArcPoint(disk=disk, direction=direction.primitive())
 
     def arc_point_coordinates(self, face: ArcPoint) -> tuple[QuadScalar, QuadScalar]:
         """Exact coordinates of an arc point: ``center - r * l / |l|``."""
@@ -418,62 +420,88 @@ class DiskBody:
             if self._edges is not None:
                 return self._edges
         found: dict[tuple, tuple[Edge, tuple[int, ...]]] = {}
-        n = len(self._disks)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for normal in _outer_bitangent_normals(self._disks[i], self._disks[j]):
-                    hit = self._edge_for_normal(normal)
-                    if hit is not None:
-                        found.setdefault((hit[0].normal.coeffs, hit[0].offset), hit)
+        for i, j in itertools.combinations(range(len(self._disks)), 2):
+            for hit in self._pair_edges(i, j):
+                found.setdefault((hit[0].normal.coeffs, hit[0].offset), hit)
         hits = sorted(found.values(), key=lambda hit: (hit[0].normal.coeffs, hit[0].offset))
         edges = tuple(edge for edge, _touching in hits)
         with self._lock:
             self._edges, self._touching = edges, tuple(touching for _edge, touching in hits)
         return edges
 
-    def _edge_for_normal(self, normal: LinearFunctional) -> tuple[Edge, tuple[int, ...]] | None:
-        """The hull edge supported by ``normal`` (max orientation), if any,
-        and every disk touching it: tangent disks can share an endpoint, and
-        the edge names one disk per end."""
-        values = self._support_values_max(normal)
-        best = max(values)
-        attaining = [i for i, v in enumerate(values) if v == best]
-        if len(attaining) < 2:
-            return None
-        norm_sq = sum(c * c for c in normal.coeffs)
-        norm = exact_sqrt(Fraction(norm_sq))
-        if norm is None and any(self._disks[i].radius > 0 for i in attaining):
-            raise UnsupportedConfigurationError(
-                f"bitangent with direction {normal.coeffs} has an irrational norm"
-            )
-        contact: list[tuple[int, Point]] = []
-        for i in attaining:
-            disk = self._disks[i]
-            if disk.radius == 0:
-                contact.append((i, disk.center))
+    def _pair_edges(self, i: int, j: int) -> list[tuple[Edge, tuple[int, ...]]]:
+        """The hull edges on the outer common tangents of disks i and j, each
+        with every disk touching it: tangent disks can share an endpoint, and
+        the edge names one disk per end.
+
+        With D = c_i - c_j, L = |D|^2, k = r_j - r_i and h = sqrt(L - k^2),
+        the tangents have the unit outward normals n = (k D + s h D') / L,
+        s = +-1 and D' the quarter turn of D.  As
+        n.D = k, both disks reach the same support, and disk m crosses the
+        line when n.e + r_m - r_i > 0, e = c_m - c_i.  L times that is
+        k D.e + L (r_m - r_i) + s h D'.e, one element of Q(h), so one
+        ``QuadScalar`` sign decides each disk.  Only a line that no disk
+        crosses can raise, when its normal is irrational.
+
+        Concentric or nested disks (L - k^2 < 0) have no outer tangent.
+        Internally tangent ones (h = 0) share one, which touches both at
+        one point, so it is an edge only when a third disk touches it
+        elsewhere, and that pair finds it.  For h > 0 the two contacts
+        differ, so every line that no disk crosses is an edge.
+        """
+        ri, rj = self._disks[i].radius, self._disks[j].radius
+        (xi, yi), (xj, yj) = self._disks[i].center.coords, self._disks[j].center.coords
+        dx, dy = xi - xj, yi - yj
+        length_sq = dx * dx + dy * dy
+        k = rj - ri
+        radicand = length_sq - k * k
+        if radicand <= 0:
+            return []
+        root = QuadScalar(Fraction(0), Fraction(1), radicand)  # h, rational or not
+        hits = []
+        for s in (1, -1):
+            touching: list[int] = []
+            for m, disk in enumerate(self._disks):
+                if m != i and m != j:
+                    ex, ey = disk.center.coords[0] - xi, disk.center.coords[1] - yi
+                    crossing = QuadScalar(
+                        k * (dx * ex + dy * ey) + length_sq * (disk.radius - ri),
+                        s * (dx * ey - dy * ex),
+                        radicand,
+                    ).sign()
+                    if crossing > 0:
+                        break
+                    if crossing < 0:
+                        continue
+                touching.append(m)
             else:
-                scale = disk.radius / norm  # type: ignore[operator]
-                touch = disk.center + Point(normal.coeffs).scaled(scale)
-                contact.append((i, touch))
-        along = _perp((normal.coeffs[0], normal.coeffs[1]))
-        keyed = sorted(
-            contact, key=lambda item: along[0] * item[1][0] + along[1] * item[1][1]
-        )
-        first, last = keyed[0], keyed[-1]
-        if first[1] == last[1]:
-            return None  # degenerate single-point contact
-        if not best.is_rational():
-            raise UnsupportedConfigurationError(
-                f"bitangent offset for direction {normal.coeffs} is irrational"
-            )
-        scaled = primitive_tuple(tuple(normal.coeffs) + (best.as_rational(),))
-        edge = Edge(
-            disks=(first[0], last[0]),
-            normal=LinearFunctional(scaled[:-1]),
-            offset=scaled[-1],
-            endpoints=(first[1], last[1]),
-        )
-        return edge, tuple(attaining)
+                if root.is_rational():
+                    h = s * root.rational
+                    normal = ((k * dx - h * dy) / length_sq, (k * dy + h * dx) / length_sq)
+                elif k == 0 and all(self._disks[m].radius == 0 for m in touching):
+                    normal = (-s * dy, s * dx)  # every contact is a center
+                else:
+                    raise UnsupportedConfigurationError(
+                        f"the outer tangent of disks {i} and {j} "
+                        f"({_describe(self._disks[i])}, {_describe(self._disks[j])}) "
+                        "is a hull edge with an irrational normal"
+                    )
+                contact = []
+                for m in touching:
+                    (x, y), r = self._disks[m].center.coords, self._disks[m].radius
+                    contact.append((m, Point((x + r * normal[0], y + r * normal[1]))))
+                along = _perp(normal)
+                contact.sort(key=lambda item: along[0] * item[1][0] + along[1] * item[1][1])
+                first, last = contact[0], contact[-1]
+                scaled = primitive_tuple(normal + (normal[0] * xi + normal[1] * yi + ri,))
+                edge = Edge(
+                    disks=(first[0], last[0]),
+                    normal=LinearFunctional(scaled[:-1]),
+                    offset=scaled[-1],
+                    endpoints=(first[1], last[1]),
+                )
+                hits.append((edge, tuple(touching)))
+        return hits
 
     def faces(self) -> tuple[DiskFace, ...]:
         """Symbolic face list: the body, edges, tangency points, arc families.
@@ -633,61 +661,3 @@ class DiskBody:
         if isinstance(face, TangencyPoint):
             return False
         raise TypeError(f"not a disk face: {face!r}")
-
-
-def _outer_bitangent_normals(a: Disk, b: Disk) -> list[LinearFunctional]:
-    """Primitive outward normals of the outer bitangent lines of two disks.
-
-    The supporting condition ``n . (ca - cb) = (rb - ra) |n|`` squares to a
-    homogeneous quadratic in the direction; rational roots exist exactly
-    when the discriminant ``(rb - ra)^2 (dist^2 - (rb - ra)^2)`` is a
-    rational square (irrational roots raise, per the fixture constraint).
-    Nested disks have no outer bitangent; then the list is empty.
-    """
-    d = a.center - b.center
-    if d.is_zero():
-        return []
-    k = b.radius - a.radius
-    dx, dy = d.coords
-    qa = dx * dx - k * k
-    qb = 2 * dx * dy
-    qc = dy * dy - k * k
-    directions: list[tuple[Fraction, Fraction]] = []
-    if k == 0:
-        directions.append(_perp((dx, dy)))
-        directions.append(_perp((-dx, -dy)))
-    else:
-        candidates: list[tuple[Fraction, Fraction]] = []
-        if qa == 0:
-            candidates.append((Fraction(1), Fraction(0)))
-            if qb != 0:
-                candidates.append((-qc / qb, Fraction(1)))
-        else:
-            disc = qb * qb - 4 * qa * qc
-            if disc < 0:
-                return []  # one disk nested in the other
-            root = exact_sqrt(disc)
-            if root is None:
-                raise UnsupportedConfigurationError(
-                    "outer bitangent direction is irrational for disks "
-                    f"{a.center.coords}/{a.radius} and {b.center.coords}/{b.radius}"
-                )
-            for numerator in (-qb + root, -qb - root):
-                candidates.append((numerator / (2 * qa), Fraction(1)))
-        for cand in candidates:
-            vec = primitive_tuple(cand)
-            norm = exact_sqrt(Fraction(vec[0] * vec[0] + vec[1] * vec[1]))
-            assert norm is not None  # squared condition forces a rational norm
-            value = vec[0] * dx + vec[1] * dy
-            if value == k * norm:
-                directions.append((vec[0], vec[1]))
-            elif -value == k * norm:
-                directions.append((-vec[0], -vec[1]))
-    out = []
-    seen = set()
-    for vec in directions:
-        prim = primitive_tuple(vec)
-        if prim not in seen:
-            seen.add(prim)
-            out.append(LinearFunctional(prim))
-    return out

@@ -17,6 +17,7 @@ from .core import (
     AffineFunctional,
     LinearFunctional,
     Point,
+    _guard_digits,
     format_rational,
     parse_rational,
 )
@@ -301,9 +302,18 @@ def disk_face_from_json(body: DiskBody, doc: Any) -> DiskFace:
     raise FormatError(f"unknown disk face kind {kind!r}")
 
 
+def _json_int(literal: str) -> int:
+    """A JSON integer; more digits than Python converts raise the size guard."""
+    try:
+        return int(literal)
+    except ValueError:
+        _guard_digits("number", len(literal.lstrip("-")))
+        raise
+
+
 def load_document(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:

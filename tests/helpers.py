@@ -5,10 +5,11 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import facelex as fx
-from facelex.sampling import sample_in_hull
+from facelex.sampling import _int_combination, _int_weights
 
 
 def pt(*coords) -> fx.Point:
@@ -239,6 +240,41 @@ def rref(rows: Sequence[Sequence[Fraction]], width: int) -> tuple[list[list[Frac
     return mat, pivots
 
 
+# -- rational samplers on the refuter's integer draws ------------------------
+
+
+def _combination(points: Sequence[fx.Point], scales: Sequence[int], den: int) -> fx.Point:
+    """The point ``sum(scales[i] * points[i]) / den``, for int scales and an int den > 0."""
+    scaled = [p._scaled for p in points]
+    den_p = lcm(*(d for _nums, d in scaled))
+    rows = [nums for nums, _d in scaled]
+    nums = _int_combination(rows, [s * (den_p // d) for s, (_nums, d) in zip(scales, scaled)])
+    den *= den_p
+    return fx.Point(tuple(Fraction(n, den) for n in nums))
+
+
+def convex_weights(
+    rng: random.Random, count: int, *, positive: bool = False, span: int = 8
+) -> tuple[Fraction, ...]:
+    """Random rational weights summing to one (all strictly positive on demand)."""
+    raw = _int_weights(rng, count, positive, span)
+    total = sum(raw)
+    return tuple(Fraction(r, total) for r in raw)
+
+
+def combine(points: Sequence[fx.Point], weights: Sequence[Fraction]) -> fx.Point:
+    """Weighted sum of points with exact rational weights."""
+    den = lcm(*(w.denominator for w in weights))
+    return _combination(points, [w.numerator * (den // w.denominator) for w in weights], den)
+
+
+def sample_in_hull(rng: random.Random, points: Sequence[fx.Point], *, positive: bool = False) -> fx.Point:
+    """A random rational convex combination of the given points, drawn as
+    ``oracle_refute_face`` draws its weights."""
+    weights = _int_weights(rng, len(points), positive)
+    return _combination(points, weights, sum(weights))
+
+
 # -- test-only references for the integer membership, sampling and refuter paths
 
 
@@ -283,8 +319,8 @@ def reference_refute_face(
     Test-only reference: ``oracle_refute_face`` as it was on ``Fraction``
     points, with membership by :func:`reference_contains`, so it runs none
     of the refuter's integer arithmetic.  It draws its points with
-    ``sample_in_hull``, which ``tests/test_sampling.py`` checks against
-    the ``Fraction`` sums above.
+    ``sample_in_hull``, on the integer kernels that ``tests/test_sampling.py``
+    checks against the ``Fraction`` references above.
     """
     if trials < 1:
         raise ValueError("at least one trial required")

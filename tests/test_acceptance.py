@@ -17,13 +17,15 @@ import pytest
 import facelex as fx
 from facelex import jsonio
 from facelex.oracle import oracle_faces, oracle_lex_argmin
-from facelex.sampling import convex_weights, combine, sample_in_hull
 from helpers import (
     assert_witness_valid,
+    combine,
     cone_body,
+    convex_weights,
     disk_body_samples,
     random_cortege,
     random_preorder,
+    sample_in_hull,
     stadium_body,
 )
 

@@ -4,8 +4,8 @@ import sys
 import pytest
 
 import facelex as fx
+import facelex.sampling
 import facelex.stepaffine
-from facelex.sampling import sample_in_hull
 from helpers import af, assert_witness_valid, count_calls, pt
 
 
@@ -194,9 +194,10 @@ class TestEquivalenceReport:
             raise AssertionError("equivalence_report drew a sample")
 
         monkeypatch.setattr(fx.Polytope, "contains", counting_contains)
+        draw = facelex.sampling._int_weights
         for name, module in list(sys.modules.items()):
-            if name.startswith("facelex") and getattr(module, "sample_in_hull", None) is sample_in_hull:
-                monkeypatch.setattr(module, "sample_in_hull", no_sampling)
+            if name.startswith("facelex") and getattr(module, "_int_weights", None) is draw:
+                monkeypatch.setattr(module, "_int_weights", no_sampling)
         for polytope in fixture_polytopes.values():
             for face in polytope.proper_faces():
                 calls = 0

@@ -61,6 +61,9 @@ def files(tmp_path_factory):
         [str(v) for v in row]
         for row in [(0, 0, 0), (big + 7, 0, 1), (0, big + 9, 3), (1, 5, big + 11)]
     ]})
+    write("long_bad_literal.json", {"vertices": [["x" * 5000]]})
+    (root / "huge_number.json").write_text('{"vertices": [[1' + "0" * 5000 + "]]}", encoding="utf-8")
+    paths["huge_number.json"] = str(root / "huge_number.json")
     (root / "not_json.json").write_text("{oops", encoding="utf-8")
     paths["not_json.json"] = str(root / "not_json.json")
     (root / "deep.json").write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
@@ -207,6 +210,22 @@ class TestDiskCommands:
             {"coeffs": ["4", "-3"], "offset": "0"},
         ]
 
+    def test_certify_a_listed_face_of_tied_disks(self, tmp_path):
+        # Two disks internally tangent at (-1, 0): the arc family that
+        # diskhull-faces lists has a representative both disks attain.
+        body = tmp_path / "tangent.json"
+        body.write_text(jsonio.dumps_canonical(
+            jsonio.disk_body_to_json(fx.DiskBody([((0, 0), 1), ((1, 0), 2)]))
+        ), encoding="utf-8")
+        listed = run_cli("diskhull-faces", "--input", str(body))
+        assert listed.returncode == 0
+        family = json.loads(listed.stdout)["faces"][1]
+        face = tmp_path / "family.json"
+        face.write_text(jsonio.dumps_canonical(family), encoding="utf-8")
+        result = run_cli("diskhull-certify", "--input", str(body), "--face", str(face))
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["cortege"]["functionals"] == [{"coeffs": ["1", "0"], "offset": "1"}]
+
 
 class TestErrorPaths:
     def test_malformed_json(self, files):
@@ -275,6 +294,22 @@ class TestErrorPaths:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == "error: numerator has 4301 digits; Python's int/str limit is 4300\n"
+
+    def test_oversized_json_number_is_a_size_guard(self, files):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python has no int/str digit limit")
+        result = run_cli("faces", "--input", files["huge_number.json"])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: number has 5001 digits; Python's int/str limit is {limit}\n"
+
+    def test_bad_literal_echo_is_bounded(self, files):
+        result = run_cli("faces", "--input", files["long_bad_literal.json"])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert len(result.stderr.encode()) < 200
+        assert "5000 characters" in result.stderr
 
     def test_oversized_output_number_is_a_size_guard(self, files):
         # The body is valid and its face list prints; its facet normals have

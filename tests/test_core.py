@@ -28,6 +28,18 @@ class TestRationalStrings:
         with pytest.raises(ValueError):
             fx.parse_rational(bad)
 
+    @pytest.mark.parametrize("bad", ["x" * 5000, "1/" + "0" * 300])
+    def test_long_literal_is_echoed_as_a_prefix(self, bad):
+        with pytest.raises(ValueError) as info:
+            fx.parse_rational(bad)
+        message = str(info.value)
+        assert f"{bad[:40]!r}... ({len(bad)} characters)" in message
+        assert len(message) < 100
+
+    def test_short_literal_is_echoed_whole(self):
+        with pytest.raises(ValueError, match=r"not a rational literal: '1\.5'$"):
+            fx.parse_rational("1.5")
+
     @given(value=rationals)
     def test_round_trip(self, value):
         assert fx.parse_rational(fx.format_rational(value)) == value

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import facelex as fx
+from facelex.core import primitive_tuple
 from helpers import disk_body_samples, lf, pt
 
 small_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=24)
@@ -147,6 +148,14 @@ class TestSupportMin:
         norm_sq = Fraction(sum(c * c for c in coeffs))
         assert value == fx.QuadScalar(direction(disk.center), -disk.radius, norm_sq)
         assert elapsed < 1.0
+
+    def test_tied_disks_without_an_edge_report_the_largest(self):
+        # Internally tangent at (-1, 0): both disks attain the minimum of x
+        # there, and no edge runs along x = -1.
+        body = fx.DiskBody([((0, 0), 1), ((1, 0), 2)])
+        value, face = body.support_min(lf(1, 0))
+        assert value.as_rational() == -1
+        assert face == fx.ArcPoint(disk=1, direction=lf(1, 0))
 
     def test_zero_functional_rejected(self, cone_body):
         with pytest.raises(fx.ZeroFunctionalError):
@@ -418,3 +427,129 @@ class TestClosedFormFaceLists:
             ("arcs", 1, ((-1, 0), (1, 0)), 1, (0, 1)),
             ("arcs", 2, ((1, 0), (-1, 0)), 2, (0, -1)),
         ]
+
+    def test_square_with_inner_disk(self):
+        # The outer tangents of a corner and the inner disk are irrational,
+        # but none of them is on the hull: the body is the bare square.
+        corners = [((0, 0), 0), ((100, 0), 0), ((0, 100), 0), ((100, 100), 0)]
+        bare = [_face_data(f) for f in fx.DiskBody(corners).faces()]
+        assert len(bare) == 9
+        body = fx.DiskBody(corners + [((50, 50), 1)])
+        assert [_face_data(f) for f in body.faces()] == bare
+        assert body.contains(pt(99, 1)) and not body.contains(pt(101, 50))
+
+
+# Every body of TestClosedFormFaceLists, two internally tangent disks with
+# no edge, and the square with an inner disk.
+LISTED_BODIES = {
+    "point-triangle": [((0, 0), 0), ((4, 0), 0), ((0, 3), 0)],
+    "disk-inside-another": [((0, 0), 5), ((1, 0), 1)],
+    "vertical-root": [((5, -1), 2), ((3, 3), 0)],
+    "tangent-at-edge-end": [((6, 1), 0), ((4, 4), 3), ((4, 6), 5)],
+    "tangent-keeps-arc": [((-1, 3), 3), ((1, -1), 5), ((1, 3), 5)],
+    "internally-tangent": [((0, 0), 1), ((1, 0), 2)],
+    "square-with-inner-disk": [((0, 0), 0), ((100, 0), 0), ((0, 100), 0), ((100, 100), 0), ((50, 50), 1)],
+}
+
+
+class TestListedFacesCertify:
+    """Every proper face that faces() lists has a certificate: nonnegative
+    on the body and zero on the face.  The one refusal left is an arc
+    family whose representative direction has an irrational norm, so that
+    its support value is irrational too."""
+
+    @pytest.mark.parametrize("name", sorted(LISTED_BODIES))
+    def test_every_listed_face_certifies(self, name):
+        body = fx.DiskBody(LISTED_BODIES[name])
+        samples = disk_body_samples(body, random.Random(5), 40)
+        for face in body.faces()[1:]:
+            if isinstance(face, fx.ArcFamily):
+                rep = face.representative
+                norm_sq = int(sum(c * c for c in rep.direction.coeffs))
+                if body.disks[rep.disk].radius > 0 and math.isqrt(norm_sq) ** 2 != norm_sq:
+                    with pytest.raises(fx.UnsupportedConfigurationError, match="support value"):
+                        body.certify(face)
+                    continue
+                x, y = body.arc_point_coordinates(rep)
+                on_face = [fx.Point((x.as_rational(), y.as_rational()))]
+            elif isinstance(face, fx.Edge):
+                a, b = face.endpoints
+                on_face = [a, b, a + (b - a).scaled(Fraction(1, 3))]
+            else:
+                on_face = [face.point]
+            u = fx.StepAffineFunction(body.certify(face))
+            assert all(u(p) == 0 for p in on_face), (name, face)
+            assert all(u(p) >= 0 for p in samples), (name, face)
+
+
+# Primitive Pythagorean directions in the upper half-plane, by angle.
+PYTHAGOREAN = sorted(
+    [(1, 0), (15, 8), (12, 5), (4, 3), (3, 4), (5, 12), (8, 15), (0, 1),
+     (-8, 15), (-5, 12), (-3, 4), (-4, 3), (-12, 5), (-15, 8)],
+    key=lambda v: Fraction(-v[0], v[1]) if v[1] else Fraction(-10**9),
+)
+
+
+def _as_edge_rows(pairs):
+    return sorted((tuple(normal), offset) for normal, offset in pairs)
+
+
+class TestEdgesIndependently:
+    """edges() against hulls computed without it: the facets of a point
+    set's polytope, and those facets pushed out by r for equal disks on a
+    polygon whose edge directions have rational lengths."""
+
+    def test_point_bodies_match_polytope_facets(self):
+        rng = random.Random(1973)
+        checked = 0
+        for _ in range(300):
+            points = [(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(rng.randint(3, 9))]
+            polygon = fx.Polytope(points)
+            if polygon.dim < 2:
+                continue
+            edges = fx.DiskBody([(p, 0) for p in points]).edges()
+            facets = polygon.facets()
+            assert _as_edge_rows((e.normal.coeffs, e.offset) for e in edges) == _as_edge_rows(
+                (f.functional.coeffs, f.offset) for f in facets
+            )
+            for edge in edges:
+                facet = next(f for f in facets if f.functional == edge.normal)
+                tight = {polygon.vertices[i].coords for i in facet.tight_vertices}
+                assert {p.coords for p in edge.endpoints} == tight
+            checked += 1
+        assert checked > 250
+
+    def test_equal_disks_on_pythagorean_polygons(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            # Directions increasing in angle over a half-turn, then negated:
+            # the partial sums close up into a convex polygon.
+            half = sorted(rng.sample(range(len(PYTHAGOREAN)), rng.randint(2, 5)))
+            steps = [(m * x, m * y) for (x, y), m in ((PYTHAGOREAN[k], rng.randint(1, 3)) for k in half)]
+            steps += [(-x, -y) for x, y in steps]
+            corner = (rng.randint(-9, 9), rng.randint(-9, 9))
+            vertices = []
+            for dx, dy in steps:
+                vertices.append(corner)
+                corner = (corner[0] + dx, corner[1] + dy)
+            r = Fraction(rng.randint(0, 6), rng.randint(1, 2))
+            n = len(vertices)
+            centroid = (Fraction(sum(v[0] for v in vertices), n), Fraction(sum(v[1] for v in vertices), n))
+            body = fx.DiskBody([(v, r) for v in vertices] + [(centroid, r)])
+            expected = []
+            for facet in fx.Polytope(vertices).facets():
+                a = facet.functional.coeffs
+                norm = math.isqrt(int(a[0] * a[0] + a[1] * a[1]))
+                assert norm * norm == a[0] * a[0] + a[1] * a[1]
+                *normal, offset = primitive_tuple(a + (facet.offset + r * norm,))
+                expected.append((normal, offset))
+            edges = body.edges()
+            got = [(e.normal.coeffs, e.offset) for e in edges]
+            assert _as_edge_rows(got) == _as_edge_rows(expected)
+            for edge in edges:
+                for end, disk in zip(edge.endpoints, edge.disks):
+                    center = body.disks[disk].center
+                    delta = end - center
+                    assert sum(c * c for c in delta.coords) == r * r
+                    assert edge.normal(end) == edge.offset
+

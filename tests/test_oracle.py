@@ -1,5 +1,4 @@
 import itertools
-import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 import facelex as fx
 from facelex.oracle import oracle_faces, oracle_facets, oracle_lex_argmin, oracle_refute_face
-import facelex.sampling
 from facelex.polytope import _hull_facets
 from helpers import count_calls, lf, reference_refute_face
 
@@ -136,32 +134,22 @@ class TestRefuter:
 class TestRefuterWork:
     """Deterministic work counts in place of timings: once the lazy hulls of
     the body and the candidate are built, a trial builds no Point and calls
-    neither Polytope.contains nor the sampler; only a witness is built."""
+    no Polytope.contains; only a witness is built."""
 
     def counters(self, monkeypatch):
         points = count_calls(monkeypatch, fx.Point, "__post_init__")
         contains = count_calls(monkeypatch, fx.Polytope, "contains")
-        samples = []
-        original = facelex.sampling.sample_in_hull
-
-        def counting(*args, **kwargs):
-            samples.append(args)
-            return original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("facelex") and getattr(module, "sample_in_hull", None) is original:
-                monkeypatch.setattr(module, "sample_in_hull", counting)
-        return points, contains, samples
+        return points, contains
 
     def test_true_face_builds_nothing(self, cube3, monkeypatch):
         face = next(f for f in cube3.proper_faces() if len(f) == 4)
         assert oracle_refute_face(cube3, face, trials=500) is None  # fills the lazy hulls
-        points, contains, samples = self.counters(monkeypatch)
+        points, contains = self.counters(monkeypatch)
         assert oracle_refute_face(cube3, face, trials=500) is None
-        assert (len(points), len(contains), len(samples)) == (0, 0, 0)
+        assert (len(points), len(contains)) == (0, 0)
 
     def test_witness_builds_two_points(self, square, monkeypatch):
         assert oracle_refute_face(square, fd(0, 2), trials=500) is not None
-        points, contains, samples = self.counters(monkeypatch)
+        points, contains = self.counters(monkeypatch)
         assert oracle_refute_face(square, fd(0, 2), trials=500) is not None
-        assert (len(points), len(contains), len(samples)) == (2, 0, 0)
+        assert (len(points), len(contains)) == (2, 0)

@@ -7,13 +7,13 @@ import pytest
 import facelex as fx
 import facelex.polytope
 from facelex.oracle import oracle_faces
-from facelex.sampling import sample_in_hull
 from helpers import (
     count_calls,
     cube,
     facet_triples,
     pt,
     reference_contains,
+    sample_in_hull,
     simplex,
     unit_square,
 )
