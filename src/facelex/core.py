@@ -49,11 +49,12 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _excerpt(text: str, limit: int = 40) -> str:
-    """The literal for an error message: whole when short, else a prefix and its length."""
-    if len(text) <= limit:
+def _excerpt(text: str) -> str:
+    """The literal for an error message: whole up to 40 characters, else its
+    first 40 and its length, so a huge literal does not flood stderr."""
+    if len(text) <= 40:
         return repr(text)
-    return f"{text[:limit]!r}... ({len(text)} characters)"
+    return f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def format_rational(value: Fraction) -> str:
