@@ -393,9 +393,11 @@ class DiskBody:
         best = min(values)
         attaining = [i for i, v in enumerate(values) if v == best]
         if len(attaining) > 1:
+            # An edge's normal is scaled with its offset into coprime
+            # integers, so compare directions; one line supports per direction.
             outward = (-direction).primitive()
             for edge in self.edges():
-                if edge.normal == outward:
+                if edge.normal.primitive() == outward:
                     return best, edge
         # Tied disks with no edge between them touch the line at one common
         # point, which the largest of them names.

@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -225,6 +226,21 @@ class TestDiskCommands:
         result = run_cli("diskhull-certify", "--input", str(body), "--face", str(face))
         assert result.returncode == 0
         assert json.loads(result.stdout)["cortege"]["functionals"] == [{"coeffs": ["1", "0"], "offset": "1"}]
+
+    def test_arc_point_on_a_fractional_edge_is_refused(self, tmp_path):
+        # Both disks touch x = 1/2 along a segment, so direction (-1, 0)
+        # exposes the edge, not a point of disk 0.
+        body = tmp_path / "halves.json"
+        body.write_text(jsonio.dumps_canonical(
+            jsonio.disk_body_to_json(fx.DiskBody([((0, 0), Fraction(1, 2)), ((0, 4), Fraction(1, 2))]))
+        ), encoding="utf-8")
+        face = tmp_path / "arc_point.json"
+        face.write_text(jsonio.dumps_canonical(
+            jsonio.disk_face_to_json(fx.ArcPoint(disk=0, direction=fx.LinearFunctional((-1, 0))))
+        ), encoding="utf-8")
+        result = run_cli("diskhull-certify", "--input", str(body), "--face", str(face))
+        assert result.returncode == 2
+        assert "does not expose disk 0" in result.stderr
 
 
 class TestErrorPaths:

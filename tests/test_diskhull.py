@@ -157,6 +157,17 @@ class TestSupportMin:
         assert value.as_rational() == -1
         assert face == fx.ArcPoint(disk=1, direction=lf(1, 0))
 
+    def test_tied_disks_on_a_fractional_edge_report_the_edge(self):
+        # Both disks touch x = 1/2 along a segment; the edge stores the
+        # line as 2x <= 1, so its normal is (2, 0), not the primitive (1, 0).
+        body = fx.DiskBody([((0, 0), Fraction(1, 2)), ((0, 4), Fraction(1, 2))])
+        value, face = body.support_min(lf(-1, 0))
+        assert value.as_rational() == Fraction(-1, 2)
+        assert isinstance(face, fx.Edge)
+        assert face.normal == lf(2, 0) and face.offset == 1
+        with pytest.raises(ValueError, match="does not expose"):
+            body.certify(fx.ArcPoint(disk=0, direction=lf(-1, 0)))
+
     def test_zero_functional_rejected(self, cone_body):
         with pytest.raises(fx.ZeroFunctionalError):
             cone_body.support_min(lf(0, 0))
@@ -440,7 +451,8 @@ class TestClosedFormFaceLists:
 
 
 # Every body of TestClosedFormFaceLists, two internally tangent disks with
-# no edge, and the square with an inner disk.
+# no edge, the square with an inner disk, and two disks of fractional
+# radius whose edges have fractional offsets.
 LISTED_BODIES = {
     "point-triangle": [((0, 0), 0), ((4, 0), 0), ((0, 3), 0)],
     "disk-inside-another": [((0, 0), 5), ((1, 0), 1)],
@@ -449,37 +461,52 @@ LISTED_BODIES = {
     "tangent-keeps-arc": [((-1, 3), 3), ((1, -1), 5), ((1, 3), 5)],
     "internally-tangent": [((0, 0), 1), ((1, 0), 2)],
     "square-with-inner-disk": [((0, 0), 0), ((100, 0), 0), ((0, 100), 0), ((100, 100), 0), ((50, 50), 1)],
+    "half-radius-pair": [((0, 0), Fraction(1, 2)), ((0, 4), Fraction(1, 2))],
 }
+
+# The arc families, by body and disk, whose representative direction has an
+# irrational norm, so that certify refuses their irrational support value.
+# CHANGES.md records this as a FOUND defect of _arc_families.
+IRRATIONAL_REPRESENTATIVES = [("tangent-at-edge-end", 2), ("vertical-root", 0)]
 
 
 class TestListedFacesCertify:
     """Every proper face that faces() lists has a certificate: nonnegative
-    on the body and zero on the face.  The one refusal left is an arc
-    family whose representative direction has an irrational norm, so that
-    its support value is irrational too."""
+    on the body and zero on the face."""
+
+    @staticmethod
+    def assert_certifies(body, face):
+        u = fx.StepAffineFunction(body.certify(face))
+        if isinstance(face, fx.ArcFamily):
+            x, y = body.arc_point_coordinates(face.representative)
+            on_face = [fx.Point((x.as_rational(), y.as_rational()))]
+        elif isinstance(face, fx.Edge):
+            a, b = face.endpoints
+            on_face = [a, b, a + (b - a).scaled(Fraction(1, 3))]
+        else:
+            on_face = [face.point]
+        assert all(u(p) == 0 for p in on_face), face
+        samples = disk_body_samples(body, random.Random(5), 40)
+        assert all(u(p) >= 0 for p in samples), face
 
     @pytest.mark.parametrize("name", sorted(LISTED_BODIES))
     def test_every_listed_face_certifies(self, name):
         body = fx.DiskBody(LISTED_BODIES[name])
-        samples = disk_body_samples(body, random.Random(5), 40)
         for face in body.faces()[1:]:
-            if isinstance(face, fx.ArcFamily):
-                rep = face.representative
-                norm_sq = int(sum(c * c for c in rep.direction.coeffs))
-                if body.disks[rep.disk].radius > 0 and math.isqrt(norm_sq) ** 2 != norm_sq:
-                    with pytest.raises(fx.UnsupportedConfigurationError, match="support value"):
-                        body.certify(face)
-                    continue
-                x, y = body.arc_point_coordinates(rep)
-                on_face = [fx.Point((x.as_rational(), y.as_rational()))]
-            elif isinstance(face, fx.Edge):
-                a, b = face.endpoints
-                on_face = [a, b, a + (b - a).scaled(Fraction(1, 3))]
-            else:
-                on_face = [face.point]
-            u = fx.StepAffineFunction(body.certify(face))
-            assert all(u(p) == 0 for p in on_face), (name, face)
-            assert all(u(p) >= 0 for p in samples), (name, face)
+            if isinstance(face, fx.ArcFamily) and (name, face.disk) in IRRATIONAL_REPRESENTATIVES:
+                continue  # test_irrational_representative_certifies
+            self.assert_certifies(body, face)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=fx.UnsupportedConfigurationError,
+        reason="the representative's support value is irrational",
+    )
+    @pytest.mark.parametrize("name, disk", IRRATIONAL_REPRESENTATIVES)
+    def test_irrational_representative_certifies(self, name, disk):
+        body = fx.DiskBody(LISTED_BODIES[name])
+        (family,) = [f for f in body.faces() if isinstance(f, fx.ArcFamily) and f.disk == disk]
+        self.assert_certifies(body, family)
 
 
 # Primitive Pythagorean directions in the upper half-plane, by angle.
