@@ -23,7 +23,7 @@ from .certify import (
     equivalence_report,
     verify_certificate,
 )
-from .core import Point, format_rational, parse_rational
+from .core import Point, _excerpt, format_rational, parse_rational
 from .errors import FaceLexError, FormatError, NotAFaceError
 from .oracle import oracle_faces, oracle_lex_argmin, oracle_refute_face
 from .polytope import FaceDescriptor
@@ -105,7 +105,7 @@ def _parse_face_flag(value: str) -> FaceDescriptor:
     try:
         indices = tuple(int(tok) for tok in value.split(",") if tok.strip() != "")
     except ValueError as exc:
-        raise FormatError(f"--face expects comma-separated integers, got {value!r}") from exc
+        raise FormatError(f"--face expects comma-separated integers, got {_excerpt(value)}") from exc
     if not indices:
         raise FormatError("--face needs at least one vertex index")
     return FaceDescriptor(indices)
@@ -115,7 +115,7 @@ def _parse_point_flag(value: str) -> Point:
     try:
         coords = tuple(parse_rational(tok) for tok in value.split(","))
     except ValueError as exc:
-        raise FormatError(f"--point expects comma-separated rationals, got {value!r}") from exc
+        raise FormatError(f"--point expects comma-separated rationals, got {_excerpt(value)}") from exc
     return Point(coords)
 
 

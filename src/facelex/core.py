@@ -49,12 +49,15 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _excerpt(text: str) -> str:
-    """The literal for an error message: whole up to 40 characters, else its
-    first 40 and its length, so a huge literal does not flood stderr."""
+def _excerpt(value: object) -> str:
+    """A value for an error message: its repr, or past 40 characters the
+    first 40 and the length, so a huge value does not flood stderr.  A
+    string is measured by its own characters, anything else by its repr."""
+    text = value if isinstance(value, str) else repr(value)
     if len(text) <= 40:
-        return repr(text)
-    return f"{text[:40]!r}... ({len(text)} characters)"
+        return repr(value)
+    head = repr(text[:40]) if isinstance(value, str) else text[:40]
+    return f"{head}... ({len(text)} characters)"
 
 
 def format_rational(value: Fraction) -> str:

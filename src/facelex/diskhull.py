@@ -17,6 +17,13 @@ A line that some disk crosses is not on the hull and is dropped whatever
 its data; only a hull edge whose normal is irrational raises
 :class:`UnsupportedConfigurationError`, since its edge, tangency points and
 certificates would not be rational.
+
+Each edge end names the largest disk touching the line there; any other
+disk touching at that point is nested in it.  Walked counterclockwise,
+the boundary alternates between edges and arcs, so the arc families are
+read off the ring of edges sorted by normal angle: the arc after an edge
+lies on the disk its end names.  The face list therefore depends only on
+the body, not on the order or redundancy of the disks that describe it.
 """
 
 from __future__ import annotations
@@ -292,7 +299,7 @@ def _cross(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 
 def _ccw_sort_key(v: Sequence[Fraction]):
-    """Total order on primitive directions by counterclockwise angle from +x."""
+    """Total order on nonzero directions by counterclockwise angle from +x."""
     half = 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
     return half, _AngleWithin((v[0], v[1]))
 
@@ -317,10 +324,10 @@ def _describe(disk: Disk) -> str:
 
 
 def _direction_between(start: Sequence[Fraction], end: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
-    """A rational direction strictly inside the CCW open arc from start to end.
+    """A rational direction strictly inside the CCW open arc from start to
+    end, which are different directions.
 
-    For coincident bounds the arc is the full circle minus one direction,
-    for antipodal bounds a quarter turn lands inside, otherwise the sum of
+    For antipodal bounds a quarter turn lands inside, otherwise the sum of
     the bounds (or its negation, for the reflex case) does.
     """
     cross = _cross(start, end)
@@ -328,17 +335,10 @@ def _direction_between(start: Sequence[Fraction], end: Sequence[Fraction]) -> tu
         return (start[0] + end[0], start[1] + end[1])
     if cross < 0:
         return (-(start[0] + end[0]), -(start[1] + end[1]))
-    dot = start[0] * end[0] + start[1] * end[1]
-    if dot > 0:  # same direction: treat as the full circle minus this ray
-        return (-start[0], -start[1])
     return _perp((start[0], start[1]))
 
 
 # -- the body ---------------------------------------------------------------
-
-# Cache marker for DiskBody._hull_polygon before the first computation;
-# None is a valid result (no tangency polygon), so it cannot mark absence.
-_UNSET = object()
 
 
 class DiskBody:
@@ -359,21 +359,14 @@ class DiskBody:
         self._disks = tuple(items)
         self._lock = threading.Lock()
         self._edges: tuple[Edge, ...] | None = None
-        self._touching: tuple[tuple[int, ...], ...] = ()  # every disk on each edge
         self._faces: tuple[DiskFace, ...] | None = None
-        self._hull_polygon: object = _UNSET
+        self._hull_polygon: Polytope | None = None
 
     @property
     def disks(self) -> tuple[Disk, ...]:
         return self._disks
 
     # -- support ------------------------------------------------------------
-
-    def _support_values_max(self, direction: LinearFunctional) -> list[QuadScalar]:
-        s = sum(c * c for c in direction.coeffs)
-        return [
-            QuadScalar(direction(d.center), d.radius, s) for d in self._disks
-        ]
 
     def support_min(self, direction: LinearFunctional) -> tuple[QuadScalar, DiskFace]:
         """Exact minimum of a nonzero functional over the body, with its face.
@@ -421,20 +414,21 @@ class DiskBody:
         with self._lock:
             if self._edges is not None:
                 return self._edges
-        found: dict[tuple, tuple[Edge, tuple[int, ...]]] = {}
+        found: dict[tuple, Edge] = {}
         for i, j in itertools.combinations(range(len(self._disks)), 2):
-            for hit in self._pair_edges(i, j):
-                found.setdefault((hit[0].normal.coeffs, hit[0].offset), hit)
-        hits = sorted(found.values(), key=lambda hit: (hit[0].normal.coeffs, hit[0].offset))
-        edges = tuple(edge for edge, _touching in hits)
+            for edge in self._pair_edges(i, j):
+                found.setdefault((edge.normal.coeffs, edge.offset), edge)
+        edges = tuple(sorted(found.values(), key=lambda edge: (edge.normal.coeffs, edge.offset)))
         with self._lock:
-            self._edges, self._touching = edges, tuple(touching for _edge, touching in hits)
+            self._edges = edges
         return edges
 
-    def _pair_edges(self, i: int, j: int) -> list[tuple[Edge, tuple[int, ...]]]:
-        """The hull edges on the outer common tangents of disks i and j, each
-        with every disk touching it: tangent disks can share an endpoint, and
-        the edge names one disk per end.
+    def _pair_edges(self, i: int, j: int) -> list[Edge]:
+        """The hull edges on the outer common tangents of disks i and j.
+
+        Each end names the largest disk touching the line at that point;
+        any other disk touching there is nested in it and tangent to it at
+        that point, so every pair that finds the edge names the same disks.
 
         With D = c_i - c_j, L = |D|^2, k = r_j - r_i and h = sqrt(L - k^2),
         the tangents have the unit outward normals n = (k D + s h D') / L,
@@ -460,7 +454,7 @@ class DiskBody:
         if radicand <= 0:
             return []
         root = QuadScalar(Fraction(0), Fraction(1), radicand)  # h, rational or not
-        hits = []
+        edges = []
         for s in (1, -1):
             touching: list[int] = []
             for m, disk in enumerate(self._disks):
@@ -488,22 +482,24 @@ class DiskBody:
                         f"({_describe(self._disks[i])}, {_describe(self._disks[j])}) "
                         "is a hull edge with an irrational normal"
                     )
-                contact = []
+                along = _perp(normal)
+                contact = []  # (position along the line, radius, disk, contact point)
                 for m in touching:
                     (x, y), r = self._disks[m].center.coords, self._disks[m].radius
-                    contact.append((m, Point((x + r * normal[0], y + r * normal[1]))))
-                along = _perp(normal)
-                contact.sort(key=lambda item: along[0] * item[1][0] + along[1] * item[1][1])
-                first, last = contact[0], contact[-1]
+                    point = (x + r * normal[0], y + r * normal[1])
+                    contact.append((along[0] * point[0] + along[1] * point[1], r, m, point))
+                first = min(contact, key=lambda c: (c[0], -c[1]))
+                last = max(contact, key=lambda c: (c[0], c[1]))
                 scaled = primitive_tuple(normal + (normal[0] * xi + normal[1] * yi + ri,))
-                edge = Edge(
-                    disks=(first[0], last[0]),
-                    normal=LinearFunctional(scaled[:-1]),
-                    offset=scaled[-1],
-                    endpoints=(first[1], last[1]),
+                edges.append(
+                    Edge(
+                        disks=(first[2], last[2]),
+                        normal=LinearFunctional(scaled[:-1]),
+                        offset=scaled[-1],
+                        endpoints=(Point(first[3]), Point(last[3])),
+                    )
                 )
-                hits.append((edge, tuple(touching)))
-        return hits
+        return edges
 
     def faces(self) -> tuple[DiskFace, ...]:
         """Symbolic face list: the body, edges, tangency points, arc families.
@@ -521,51 +517,36 @@ class DiskBody:
             for end in (0, 1):
                 if self._disks[edge.disks[end]].radius > 0:
                     faces.append(TangencyPoint(edge=edge, end=end))
-        faces.extend(self._arc_families(edges, self._touching))
+        faces.extend(self._arc_families(edges))
         result = tuple(faces)
         with self._lock:
             self._faces = result
         return result
 
-    def _arc_families(self, edges: Sequence[Edge], touching: Sequence[tuple[int, ...]]) -> list[ArcFamily]:
-        families: list[ArcFamily] = []
+    def _arc_families(self, edges: Sequence[Edge]) -> list[ArcFamily]:
+        """One family per arc: between each edge and the next one
+        counterclockwise, on the disk that ends the first.  A hull with
+        edges has at least two, and no two share a normal."""
         if not edges:
             dominant = self._dominant_disk()
             if self._disks[dominant].radius == 0:
                 return []  # a single point has no proper faces
             representative = ArcPoint(disk=dominant, direction=LinearFunctional((Fraction(1), Fraction(0))))
             return [ArcFamily(disk=dominant, start=None, end=None, representative=representative)]
-        for i in range(len(self._disks)):
-            normals = sorted(
-                {e.normal.coeffs for e, disks in zip(edges, touching) if i in disks}, key=_ccw_sort_key
-            )
-            if not normals:
-                continue
-            if len(normals) == 1:
-                gaps = [(normals[0], normals[0])]
-            else:
-                gaps = [
-                    (normals[k], normals[(k + 1) % len(normals)])
-                    for k in range(len(normals))
-                ]
-            for start, end in gaps:
-                probe = _direction_between(start, end)
-                probe_f = LinearFunctional(primitive_tuple(probe))
-                values = self._support_values_max(probe_f)
-                best = max(values)
-                attaining = [m for m, v in enumerate(values) if v == best]
-                if attaining != [i]:
-                    continue
-                representative = ArcPoint(disk=i, direction=(-probe_f).primitive())
-                families.append(
-                    ArcFamily(
-                        disk=i,
-                        start=LinearFunctional(start),
-                        end=LinearFunctional(end),
-                        representative=representative,
-                    )
+        ring = sorted(edges, key=lambda edge: _ccw_sort_key(edge.normal.coeffs))
+        families = []
+        for edge, following in zip(ring, ring[1:] + ring[:1]):
+            between = _direction_between(edge.normal.coeffs, following.normal.coeffs)
+            probe = LinearFunctional(primitive_tuple(between))
+            families.append(
+                ArcFamily(
+                    disk=edge.disks[1],
+                    start=edge.normal,
+                    end=following.normal,
+                    representative=ArcPoint(disk=edge.disks[1], direction=(-probe).primitive()),
                 )
-        families.sort(key=lambda fam: (fam.disk, fam.start.coeffs if fam.start else ()))
+            )
+        families.sort(key=lambda fam: (fam.disk, fam.start.coeffs))
         return families
 
     def _dominant_disk(self) -> int:
@@ -590,19 +571,15 @@ class DiskBody:
     # -- membership ---------------------------------------------------------
 
     def _polygon(self) -> Polytope | None:
+        """The polygon on the edge endpoints; with the disks it covers the
+        body.  A body without edges is its dominant disk and has none."""
         with self._lock:
-            if self._hull_polygon is not _UNSET:
-                return self._hull_polygon  # type: ignore[return-value]
-        corners: list[Point] = []
-        for edge in self.edges():
-            corners.extend(edge.endpoints)
-        for disk in self._disks:
-            if disk.radius == 0:
-                corners.append(disk.center)
-        polygon = None
-        distinct = {p.coords for p in corners}
-        if len(distinct) >= 2:
-            polygon = Polytope(corners)
+            if self._hull_polygon is not None:
+                return self._hull_polygon
+        edges = self.edges()
+        if not edges:
+            return None
+        polygon = Polytope([p for edge in edges for p in edge.endpoints])
         with self._lock:
             self._hull_polygon = polygon
         return polygon

@@ -17,6 +17,7 @@ from .core import (
     AffineFunctional,
     LinearFunctional,
     Point,
+    _excerpt,
     _guard_digits,
     format_rational,
     parse_rational,
@@ -44,7 +45,7 @@ def dumps_canonical(document: Any) -> str:
 
 def _rational_from(value: Any) -> Fraction:
     if not isinstance(value, str):
-        raise FormatError(f"rationals must be strings like '1/2', got {value!r}")
+        raise FormatError(f"rationals must be strings like '1/2', got {_excerpt(value)}")
     try:
         return parse_rational(value)
     except ValueError as exc:
@@ -54,7 +55,7 @@ def _rational_from(value: Any) -> Fraction:
 def _rationals_from(value: Any, what: str) -> tuple[Fraction, ...]:
     """A JSON list of rational strings; anything else is a FormatError."""
     if not isinstance(value, list):
-        raise FormatError(f"{what} must be a list of rationals, got {value!r}")
+        raise FormatError(f"{what} must be a list of rationals, got {_excerpt(value)}")
     return tuple(_rational_from(c) for c in value)
 
 
@@ -64,7 +65,7 @@ def point_to_json(point: Point) -> list[str]:
 
 def point_from_json(doc: Any, *, dim: int | None = None) -> Point:
     if not isinstance(doc, list) or not doc:
-        raise FormatError(f"a point must be a nonempty list of rationals, got {doc!r}")
+        raise FormatError(f"a point must be a nonempty list of rationals, got {_excerpt(doc)}")
     point = Point(tuple(_rational_from(c) for c in doc))
     if dim is not None and point.dim != dim:
         raise FormatError(f"expected a point of dimension {dim}, got {point.dim}")
@@ -88,7 +89,7 @@ def polytope_from_json(doc: Any) -> Polytope:
     ambient = doc.get("ambient_dim", points[0].dim)
     # type() rather than isinstance(): JSON true/false are ints to Python.
     if type(ambient) is not int:
-        raise FormatError(f"'ambient_dim' must be an integer, got {ambient!r}")
+        raise FormatError(f"'ambient_dim' must be an integer, got {_excerpt(ambient)}")
     if any(p.dim != ambient for p in points):
         raise FormatError("vertex dimensions disagree with ambient_dim")
     return Polytope(points)
@@ -260,13 +261,15 @@ def disk_face_to_json(face: DiskFace) -> dict:
 
 def _edge_from_json(body: DiskBody, doc: Any) -> Edge:
     if not isinstance(doc, dict):
-        raise FormatError(f"an edge must be a JSON object, got {doc!r}")
+        raise FormatError(f"an edge must be a JSON object, got {_excerpt(doc)}")
     normal = LinearFunctional(_rationals_from(doc.get("normal"), "an edge 'normal'"))
     offset = _rational_from(doc.get("offset", "0"))
     for edge in body.edges():
         if edge.normal == normal and edge.offset == offset:
             return edge
-    raise FormatError(f"no hull edge with normal {doc.get('normal')} and offset {doc.get('offset')}")
+    raise FormatError(
+        f"no hull edge with normal {_excerpt(doc.get('normal'))} and offset {_excerpt(doc.get('offset'))}"
+    )
 
 
 def disk_face_from_json(body: DiskBody, doc: Any) -> DiskFace:
@@ -283,7 +286,7 @@ def disk_face_from_json(body: DiskBody, doc: Any) -> DiskFace:
         disk = doc.get("disk")
         # type() rather than isinstance(): JSON true/false are ints to Python.
         if type(disk) is not int or not 0 <= disk < len(body.disks):
-            raise FormatError(f"bad disk index {disk!r}")
+            raise FormatError(f"bad disk index {_excerpt(disk)}")
         return ArcPoint(disk=disk, direction=direction)
     if kind == "tangency_point":
         edge = _edge_from_json(body, doc.get("edge"))
@@ -299,7 +302,7 @@ def disk_face_from_json(body: DiskBody, doc: Any) -> DiskFace:
         if not isinstance(rep, dict) or rep.get("kind") != "arc_point":
             raise FormatError("arc family representative must be an arc point")
         return disk_face_from_json(body, rep)
-    raise FormatError(f"unknown disk face kind {kind!r}")
+    raise FormatError(f"unknown disk face kind {_excerpt(kind)}")
 
 
 def _json_int(literal: str) -> int:

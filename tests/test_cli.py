@@ -243,6 +243,37 @@ class TestDiskCommands:
         assert "does not expose disk 0" in result.stderr
 
 
+LONG = "7" * 4000
+
+# One long value for each place whose error message echoes its input: the
+# command line, with "doc" standing for the document given beside it.
+LONG_ECHOES = {
+    "coordinate-number": (["faces", "--input", "doc"], {"vertices": [[int(LONG)]]}),
+    "point-object": (["faces", "--input", "doc"], {"vertices": [{"x": LONG}]}),
+    "ambient-dim": (["faces", "--input", "doc"], {"vertices": [["1"]], "ambient_dim": LONG}),
+    "coeffs-object": (
+        ["eval", "--cortege", "doc", "--point", "1,1"],
+        {"functionals": [{"coeffs": {"x": LONG}}]},
+    ),
+    "coeffs-string": (["eval", "--cortege", "doc", "--point", "1,1"], {"functionals": [{"coeffs": LONG}]}),
+    "face-flag": (["certify", "--input", "square.json", "--face", "x" * 5000], None),
+    "point-flag": (["eval", "--cortege", "cortege.json", "--point", "x" * 5000], None),
+    "disk-face-kind": (["diskhull-certify", "--input", "cone.json", "--face", "doc"], {"kind": LONG}),
+    "disk-index": (
+        ["diskhull-certify", "--input", "cone.json", "--face", "doc"],
+        {"kind": "arc_point", "disk": LONG, "direction": ["1", "0"]},
+    ),
+    "edge-not-an-object": (
+        ["diskhull-certify", "--input", "cone.json", "--face", "doc"],
+        {"kind": "tangency_point", "edge": LONG, "end": 0},
+    ),
+    "edge-not-on-the-hull": (
+        ["diskhull-certify", "--input", "cone.json", "--face", "doc"],
+        {"kind": "edge", "normal": ["1"] * 2000, "offset": LONG},
+    ),
+}
+
+
 class TestErrorPaths:
     def test_malformed_json(self, files):
         result = run_cli("faces", "--input", files["not_json.json"])
@@ -326,6 +357,19 @@ class TestErrorPaths:
         assert result.stdout == ""
         assert len(result.stderr.encode()) < 200
         assert "5000 characters" in result.stderr
+
+    @pytest.mark.parametrize("name", sorted(LONG_ECHOES))
+    def test_long_value_echo_is_bounded(self, files, tmp_path, capsys, name):
+        from facelex import cli
+
+        argv, doc = LONG_ECHOES[name]
+        paths = {**files, "doc": str(tmp_path / "doc.json")}
+        if doc is not None:
+            (tmp_path / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main([paths.get(arg, arg) for arg in argv]) == cli.EXIT_USAGE == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "characters)" in captured.err and len(captured.err.encode()) < 200, captured.err
 
     def test_oversized_output_number_is_a_size_guard(self, files):
         # The body is valid and its face list prints; its facet normals have

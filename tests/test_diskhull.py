@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -412,15 +413,15 @@ class TestClosedFormFaceLists:
 
     def test_disks_tangent_at_an_edge_end(self):
         # The disk about (4, 4) of radius 3 lies in the one about (4, 6) of
-        # radius 5, and both touch y = 1 at (4, 1).  The small disk meets
-        # only that edge, so its one gap is the circle minus one normal (the
-        # large disk wins there); the large disk's arc runs from the normal
-        # (20, -21) of the tangent through (6, 1) round to (0, -1).
+        # radius 5, and both touch y = 1 at (4, 1).  That end of the edge
+        # names the larger disk, which owns the arc from the normal
+        # (20, -21) of the tangent through (6, 1) round to (0, -1); the
+        # small disk is nested in it and has no arc of its own.
         body = fx.DiskBody([((6, 1), 0), ((4, 4), 3), ((4, 6), 5)])
         touch = (Fraction(216, 29), Fraction(69, 29))
         assert [_face_data(f) for f in body.faces()] == [
             ("whole",),
-            ("edge", (1, 0), (0, -1), -1, ((4, 1), (6, 1))),
+            ("edge", (2, 0), (0, -1), -1, ((4, 1), (6, 1))),
             ("edge", (0, 2), (20, -21), 99, ((6, 1), touch)),
             ("tangency", (0, -1), 0, (4, 1)),
             ("tangency", (20, -21), 1, touch),
@@ -449,9 +450,48 @@ class TestClosedFormFaceLists:
         assert [_face_data(f) for f in body.faces()] == bare
         assert body.contains(pt(99, 1)) and not body.contains(pt(101, 50))
 
+    def test_nested_disk_tangent_inside_an_arc(self):
+        # The disk about (2, 0) of radius 1 lies in the one about the origin
+        # of radius 3 and touches it at (3, 0), inside the arc between the
+        # normals (7, -24) and (7, 24).  It leaves the body, and so every
+        # face, as it is: the arc is still one family of disk 0.
+        bare = [((0, 0), 3), ((-3, 4), 0), ((-3, -4), 0)]
+        below, above = (Fraction(21, 25), Fraction(-72, 25)), (Fraction(21, 25), Fraction(72, 25))
+        expected = [
+            ("whole",),
+            ("edge", (1, 2), (-1, 0), 3, ((-3, 4), (-3, -4))),
+            ("edge", (2, 0), (7, -24), 75, ((-3, -4), below)),
+            ("edge", (0, 1), (7, 24), 75, (above, (-3, 4))),
+            ("tangency", (7, -24), 1, below),
+            ("tangency", (7, 24), 0, above),
+            ("arcs", 0, ((7, -24), (7, 24)), 0, (-1, 0)),
+            ("arcs", 1, ((7, 24), (-1, 0)), 1, (-1, -4)),
+            ("arcs", 2, ((-1, 0), (7, -24)), 2, (-1, 4)),
+        ]
+        assert [_face_data(f) for f in fx.DiskBody(bare).faces()] == expected
+        assert [_face_data(f) for f in fx.DiskBody(bare + [((2, 0), 1)]).faces()] == expected
 
-# Every body of TestClosedFormFaceLists, two internally tangent disks with
-# no edge, the square with an inner disk, and two disks of fractional
+    def test_point_at_a_tangency_point(self):
+        # The point (9/5, 12/5) lies on the disk of radius 3 where the edge
+        # 3x + 4y = 15 leaves it.  The edge end names the disk, so the point
+        # stays a tangency point and the disk keeps its arc.
+        bare = [((0, 0), 3), ((5, 0), 0)]
+        below, above = (Fraction(9, 5), Fraction(-12, 5)), (Fraction(9, 5), Fraction(12, 5))
+        expected = [
+            ("whole",),
+            ("edge", (0, 1), (3, -4), 15, (below, (5, 0))),
+            ("edge", (1, 0), (3, 4), 15, ((5, 0), above)),
+            ("tangency", (3, -4), 0, below),
+            ("tangency", (3, 4), 1, above),
+            ("arcs", 0, ((3, 4), (3, -4)), 0, (1, 0)),
+            ("arcs", 1, ((3, -4), (3, 4)), 1, (-1, 0)),
+        ]
+        assert [_face_data(f) for f in fx.DiskBody(bare).faces()] == expected
+        assert [_face_data(f) for f in fx.DiskBody(bare + [(above, 0)]).faces()] == expected
+
+
+# Every body of TestClosedFormFaceLists (with their nested disk or point),
+# two internally tangent disks with no edge, and two disks of fractional
 # radius whose edges have fractional offsets.
 LISTED_BODIES = {
     "point-triangle": [((0, 0), 0), ((4, 0), 0), ((0, 3), 0)],
@@ -462,6 +502,8 @@ LISTED_BODIES = {
     "internally-tangent": [((0, 0), 1), ((1, 0), 2)],
     "square-with-inner-disk": [((0, 0), 0), ((100, 0), 0), ((0, 100), 0), ((100, 100), 0), ((50, 50), 1)],
     "half-radius-pair": [((0, 0), Fraction(1, 2)), ((0, 4), Fraction(1, 2))],
+    "nested-inside-arc": [((0, 0), 3), ((-3, 4), 0), ((-3, -4), 0), ((2, 0), 1)],
+    "point-at-tangency": [((0, 0), 3), ((5, 0), 0), ((Fraction(9, 5), Fraction(12, 5)), 0)],
 }
 
 # The arc families, by body and disk, whose representative direction has an
@@ -521,6 +563,22 @@ def _as_edge_rows(pairs):
     return sorted((tuple(normal), offset) for normal, offset in pairs)
 
 
+def _pythagorean_polygon(rng):
+    """A centrally symmetric convex polygon whose edge directions have
+    rational lengths."""
+    # Directions increasing in angle over a half-turn, then negated: the
+    # partial sums close up into a convex polygon.
+    half = sorted(rng.sample(range(len(PYTHAGOREAN)), rng.randint(2, 5)))
+    steps = [(m * x, m * y) for (x, y), m in ((PYTHAGOREAN[k], rng.randint(1, 3)) for k in half)]
+    steps += [(-x, -y) for x, y in steps]
+    corner = (rng.randint(-9, 9), rng.randint(-9, 9))
+    vertices = []
+    for dx, dy in steps:
+        vertices.append(corner)
+        corner = (corner[0] + dx, corner[1] + dy)
+    return vertices
+
+
 class TestEdgesIndependently:
     """edges() against hulls computed without it: the facets of a point
     set's polytope, and those facets pushed out by r for equal disks on a
@@ -549,16 +607,7 @@ class TestEdgesIndependently:
     def test_equal_disks_on_pythagorean_polygons(self):
         rng = random.Random(2024)
         for _ in range(60):
-            # Directions increasing in angle over a half-turn, then negated:
-            # the partial sums close up into a convex polygon.
-            half = sorted(rng.sample(range(len(PYTHAGOREAN)), rng.randint(2, 5)))
-            steps = [(m * x, m * y) for (x, y), m in ((PYTHAGOREAN[k], rng.randint(1, 3)) for k in half)]
-            steps += [(-x, -y) for x, y in steps]
-            corner = (rng.randint(-9, 9), rng.randint(-9, 9))
-            vertices = []
-            for dx, dy in steps:
-                vertices.append(corner)
-                corner = (corner[0] + dx, corner[1] + dy)
+            vertices = _pythagorean_polygon(rng)
             r = Fraction(rng.randint(0, 6), rng.randint(1, 2))
             n = len(vertices)
             centroid = (Fraction(sum(v[0] for v in vertices), n), Fraction(sum(v[1] for v in vertices), n))
@@ -580,3 +629,46 @@ class TestEdgesIndependently:
                     assert sum(c * c for c in delta.coords) == r * r
                     assert edge.normal(end) == edge.offset
 
+
+def _face_counts(disks):
+    """The faces of the body on these disks, each disk index replaced by
+    the disk it names (``DiskBody`` drops repeated disks)."""
+    body = fx.DiskBody(disks)
+    counts = Counter()
+    for face in body.faces():
+        data = _face_data(face)
+        if isinstance(face, fx.Edge):
+            data = (data[0], tuple(body.disks[i] for i in face.disks), *data[2:])
+        elif isinstance(face, fx.ArcFamily):
+            data = (data[0], body.disks[face.disk], data[2], body.disks[face.representative.disk], data[4])
+        counts[data] += 1
+    return counts
+
+
+class TestFacesDependOnlyOnTheBody:
+    """The face list is a property of the set: listing its disks in another
+    order, or adding disks that lie inside it, leaves it unchanged."""
+
+    def test_shuffled_and_nested_disks_on_pythagorean_polygons(self):
+        rng = random.Random(4051)
+        # Unit directions with rational coordinates, all the way round.
+        units = []
+        for x, y in PYTHAGOREAN:
+            c = math.isqrt(x * x + y * y)
+            units += [(Fraction(x, c), Fraction(y, c)), (Fraction(-x, c), Fraction(-y, c))]
+        for _ in range(120):
+            vertices = _pythagorean_polygon(rng)
+            r = Fraction(rng.randint(1, 6), rng.randint(1, 2))
+            disks = [(v, r) for v in vertices]
+            # Disks internally tangent to a corner disk, each in a direction
+            # with a rational unit vector, so tangent at a rational point.
+            nested = []
+            for _ in range(rng.randint(1, 3)):
+                (x, y), (ux, uy) = rng.choice(vertices), rng.choice(units)
+                rho = r * Fraction(rng.randint(0, 3), 4)
+                nested.append(((x + (r - rho) * ux, y + (r - rho) * uy), rho))
+            faces = _face_counts(disks)
+            assert _face_counts(disks + nested) == faces, nested
+            for listed in (disks, disks + nested):
+                shuffled = rng.sample(listed, len(listed))
+                assert _face_counts(shuffled) == faces, shuffled
