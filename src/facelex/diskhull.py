@@ -18,12 +18,16 @@ its data; only a hull edge whose normal is irrational raises
 :class:`UnsupportedConfigurationError`, since its edge, tangency points and
 certificates would not be rational.
 
-Each edge end names the largest disk touching the line there; any other
-disk touching at that point is nested in it.  Walked counterclockwise,
-the boundary alternates between edges and arcs, so the arc families are
-read off the ring of edges sorted by normal angle: the arc after an edge
-lies on the disk its end names.  The face list therefore depends only on
-the body, not on the order or redundancy of the disks that describe it.
+A disk that another disk contains adds nothing to the set, so the body
+sets such disks aside once, when it is built, and every hull query reads
+only the outer disks, those that no other disk contains.  No outer disk
+contains another, so each pair has two outer tangents with distinct
+contacts, and outer disks touch any line at distinct points.  Walked
+counterclockwise, the boundary alternates between edges and arcs, so the
+arc families are read off the ring of edges sorted by normal angle: the
+arc after an edge lies on the disk that ends it.  The face list therefore
+depends only on the body, not on the order or redundancy of the disks
+that describe it.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .core import (
     AffineFunctional,
     LinearFunctional,
     Point,
+    _over_common_denominator,
     _require_same_dim,
     primitive_tuple,
 )
@@ -338,6 +343,22 @@ def _direction_between(start: Sequence[Fraction], end: Sequence[Fraction]) -> tu
     return _perp((start[0], start[1]))
 
 
+def _outer_disks(disks: Sequence[Disk]) -> tuple[int, ...]:
+    """Indices of the disks that no other disk contains.
+
+    Disk (x, y, r) lies in (u, v, R) when R > r and (x - u)^2 + (y - v)^2
+    <= (R - r)^2: different disks of equal radius never nest, and a body
+    drops repeated disks.  The test runs on int numerators over one
+    common denominator, so its n^2 pairs do no ``Fraction`` arithmetic.
+    """
+    nums, _ = _over_common_denominator([v for disk in disks for v in (*disk.center.coords, disk.radius)])
+    rows = [nums[k:k + 3] for k in range(0, len(nums), 3)]
+    return tuple(
+        i for i, (x, y, r) in enumerate(rows)
+        if not any(big > r and (x - u) ** 2 + (y - v) ** 2 <= (big - r) ** 2 for u, v, big in rows)
+    )
+
+
 # -- the body ---------------------------------------------------------------
 
 
@@ -357,6 +378,7 @@ class DiskBody:
         if not items:
             raise ValueError("a disk body needs at least one disk")
         self._disks = tuple(items)
+        self._outer = _outer_disks(items)  # every hull query reads only these
         self._lock = threading.Lock()
         self._edges: tuple[Edge, ...] | None = None
         self._faces: tuple[DiskFace, ...] | None = None
@@ -371,31 +393,26 @@ class DiskBody:
     def support_min(self, direction: LinearFunctional) -> tuple[QuadScalar, DiskFace]:
         """Exact minimum of a nonzero functional over the body, with its face.
 
-        The minimum over one disk is ``l(center) - radius * |l|``; the
-        reported face is the bitangent edge when the attaining disks touch
-        the supporting line along a segment, and otherwise the arc point of
-        the largest attaining disk.
+        The minimum over one disk is ``l(center) - radius * |l|``, and only
+        the outer disks are compared.  Two or more attaining outer disks
+        touch the supporting line at distinct points, so the reported face
+        is the edge on that line; otherwise it is the arc point of the one
+        attaining disk.
         """
         _require_same_dim(2, direction.dim)
         if direction.is_zero():
             raise ZeroFunctionalError("support of the zero functional")
         s = sum(c * c for c in direction.coeffs)
-        values = [
-            QuadScalar(direction(d.center), -d.radius, s) for d in self._disks
-        ]
+        disks = self._disks
+        values = [QuadScalar(direction(disks[i].center), -disks[i].radius, s) for i in self._outer]
         best = min(values)
-        attaining = [i for i, v in enumerate(values) if v == best]
+        attaining = [i for i, v in zip(self._outer, values) if v == best]
         if len(attaining) > 1:
             # An edge's normal is scaled with its offset into coprime
             # integers, so compare directions; one line supports per direction.
             outward = (-direction).primitive()
-            for edge in self.edges():
-                if edge.normal.primitive() == outward:
-                    return best, edge
-        # Tied disks with no edge between them touch the line at one common
-        # point, which the largest of them names.
-        disk = max(attaining, key=lambda m: self._disks[m].radius)
-        return best, ArcPoint(disk=disk, direction=direction.primitive())
+            return best, next(edge for edge in self.edges() if edge.normal.primitive() == outward)
+        return best, ArcPoint(disk=attaining[0], direction=direction.primitive())
 
     def arc_point_coordinates(self, face: ArcPoint) -> tuple[QuadScalar, QuadScalar]:
         """Exact coordinates of an arc point: ``center - r * l / |l|``."""
@@ -415,7 +432,7 @@ class DiskBody:
             if self._edges is not None:
                 return self._edges
         found: dict[tuple, Edge] = {}
-        for i, j in itertools.combinations(range(len(self._disks)), 2):
+        for i, j in itertools.combinations(self._outer, 2):
             for edge in self._pair_edges(i, j):
                 found.setdefault((edge.normal.coeffs, edge.offset), edge)
         edges = tuple(sorted(found.values(), key=lambda edge: (edge.normal.coeffs, edge.offset)))
@@ -424,26 +441,18 @@ class DiskBody:
         return edges
 
     def _pair_edges(self, i: int, j: int) -> list[Edge]:
-        """The hull edges on the outer common tangents of disks i and j.
-
-        Each end names the largest disk touching the line at that point;
-        any other disk touching there is nested in it and tangent to it at
-        that point, so every pair that finds the edge names the same disks.
+        """The hull edges on the outer common tangents of outer disks i and j.
 
         With D = c_i - c_j, L = |D|^2, k = r_j - r_i and h = sqrt(L - k^2),
         the tangents have the unit outward normals n = (k D + s h D') / L,
         s = +-1 and D' the quarter turn of D.  As
-        n.D = k, both disks reach the same support, and disk m crosses the
-        line when n.e + r_m - r_i > 0, e = c_m - c_i.  L times that is
-        k D.e + L (r_m - r_i) + s h D'.e, one element of Q(h), so one
-        ``QuadScalar`` sign decides each disk.  Only a line that no disk
-        crosses can raise, when its normal is irrational.
-
-        Concentric or nested disks (L - k^2 < 0) have no outer tangent.
-        Internally tangent ones (h = 0) share one, which touches both at
-        one point, so it is an edge only when a third disk touches it
-        elsewhere, and that pair finds it.  For h > 0 the two contacts
-        differ, so every line that no disk crosses is an edge.
+        n.D = k, both disks reach the same support, and outer disk m
+        crosses the line when n.e + r_m - r_i > 0, e = c_m - c_i.  L times
+        that is k D.e + L (r_m - r_i) + s h D'.e, one element of Q(h), so
+        one ``QuadScalar`` sign decides each disk.  Neither of i and j
+        contains the other, so L > k^2, h > 0 and the two contacts differ:
+        every line that no outer disk crosses is an edge.  Only such a line
+        can raise, when its normal is irrational.
         """
         ri, rj = self._disks[i].radius, self._disks[j].radius
         (xi, yi), (xj, yj) = self._disks[i].center.coords, self._disks[j].center.coords
@@ -451,14 +460,13 @@ class DiskBody:
         length_sq = dx * dx + dy * dy
         k = rj - ri
         radicand = length_sq - k * k
-        if radicand <= 0:
-            return []
         root = QuadScalar(Fraction(0), Fraction(1), radicand)  # h, rational or not
         edges = []
         for s in (1, -1):
             touching: list[int] = []
-            for m, disk in enumerate(self._disks):
+            for m in self._outer:
                 if m != i and m != j:
+                    disk = self._disks[m]
                     ex, ey = disk.center.coords[0] - xi, disk.center.coords[1] - yi
                     crossing = QuadScalar(
                         k * (dx * ex + dy * ey) + length_sq * (disk.radius - ri),
@@ -483,20 +491,20 @@ class DiskBody:
                         "is a hull edge with an irrational normal"
                     )
                 along = _perp(normal)
-                contact = []  # (position along the line, radius, disk, contact point)
+                contact = []  # (position along the line, disk, contact point)
                 for m in touching:
                     (x, y), r = self._disks[m].center.coords, self._disks[m].radius
                     point = (x + r * normal[0], y + r * normal[1])
-                    contact.append((along[0] * point[0] + along[1] * point[1], r, m, point))
-                first = min(contact, key=lambda c: (c[0], -c[1]))
-                last = max(contact, key=lambda c: (c[0], c[1]))
+                    contact.append((along[0] * point[0] + along[1] * point[1], m, point))
+                first = min(contact, key=lambda c: c[0])
+                last = max(contact, key=lambda c: c[0])
                 scaled = primitive_tuple(normal + (normal[0] * xi + normal[1] * yi + ri,))
                 edges.append(
                     Edge(
-                        disks=(first[2], last[2]),
+                        disks=(first[1], last[1]),
                         normal=LinearFunctional(scaled[:-1]),
                         offset=scaled[-1],
-                        endpoints=(Point(first[3]), Point(last[3])),
+                        endpoints=(Point(first[2]), Point(last[2])),
                     )
                 )
         return edges
@@ -528,11 +536,12 @@ class DiskBody:
         counterclockwise, on the disk that ends the first.  A hull with
         edges has at least two, and no two share a normal."""
         if not edges:
-            dominant = self._dominant_disk()
-            if self._disks[dominant].radius == 0:
+            # Two outer disks would have an edge between them.
+            (disk,) = self._outer
+            if self._disks[disk].radius == 0:
                 return []  # a single point has no proper faces
-            representative = ArcPoint(disk=dominant, direction=LinearFunctional((Fraction(1), Fraction(0))))
-            return [ArcFamily(disk=dominant, start=None, end=None, representative=representative)]
+            representative = ArcPoint(disk=disk, direction=LinearFunctional((Fraction(1), Fraction(0))))
+            return [ArcFamily(disk=disk, start=None, end=None, representative=representative)]
         ring = sorted(edges, key=lambda edge: _ccw_sort_key(edge.normal.coeffs))
         families = []
         for edge, following in zip(ring, ring[1:] + ring[:1]):
@@ -549,30 +558,11 @@ class DiskBody:
         families.sort(key=lambda fam: (fam.disk, fam.start.coeffs))
         return families
 
-    def _dominant_disk(self) -> int:
-        """The disk containing all others, for bodies without edges."""
-        for i, big in enumerate(self._disks):
-            ok = True
-            for j, small in enumerate(self._disks):
-                if i == j:
-                    continue
-                delta = small.center - big.center
-                dist_sq = sum(c * c for c in delta.coords)
-                reach = big.radius - small.radius
-                if reach < 0 or dist_sq > reach * reach:
-                    ok = False
-                    break
-            if ok:
-                return i
-        raise UnsupportedConfigurationError(
-            "body has no straight edges and no dominant disk"
-        )
-
     # -- membership ---------------------------------------------------------
 
     def _polygon(self) -> Polytope | None:
         """The polygon on the edge endpoints; with the disks it covers the
-        body.  A body without edges is its dominant disk and has none."""
+        body.  A body without edges is its one outer disk and has none."""
         with self._lock:
             if self._hull_polygon is not None:
                 return self._hull_polygon

@@ -263,12 +263,33 @@ def _edge_from_json(body: DiskBody, doc: Any) -> Edge:
     if not isinstance(doc, dict):
         raise FormatError(f"an edge must be a JSON object, got {_excerpt(doc)}")
     normal = LinearFunctional(_rationals_from(doc.get("normal"), "an edge 'normal'"))
-    offset = _rational_from(doc.get("offset", "0"))
+    if "offset" not in doc:
+        raise FormatError("an edge needs an 'offset'")
+    offset = _rational_from(doc["offset"])
     for edge in body.edges():
         if edge.normal == normal and edge.offset == offset:
             return edge
     raise FormatError(
         f"no hull edge with normal {_excerpt(doc.get('normal'))} and offset {_excerpt(doc.get('offset'))}"
+    )
+
+
+def _arc_family_from_json(body: DiskBody, doc: dict) -> ArcFamily:
+    """The family that ``body.faces()`` lists with the document's disk,
+    start and end; its representative follows from those."""
+    disk = doc.get("disk")
+    bounds = [doc.get(key) for key in ("start", "end")]
+    # type() rather than isinstance(): JSON true/false are ints to Python.
+    if type(disk) is int and "start" in doc and "end" in doc:
+        start, end = (
+            None if bound is None else LinearFunctional(_rationals_from(bound, "an arc family bound"))
+            for bound in bounds
+        )
+        for face in body.faces():
+            if isinstance(face, ArcFamily) and (face.disk, face.start, face.end) == (disk, start, end):
+                return face
+    raise FormatError(
+        f"no arc family on disk {_excerpt(disk)} from {_excerpt(bounds[0])} to {_excerpt(bounds[1])}"
     )
 
 
@@ -295,13 +316,7 @@ def disk_face_from_json(body: DiskBody, doc: Any) -> DiskFace:
             raise FormatError("tangency point 'end' must be 0 or 1")
         return TangencyPoint(edge=edge, end=end)
     if kind == "arc_family":
-        rep = doc.get("representative")
-        if rep is None:
-            raise FormatError("arc family documents need a 'representative'")
-        # Checked before recursing, so nesting cannot exhaust the stack.
-        if not isinstance(rep, dict) or rep.get("kind") != "arc_point":
-            raise FormatError("arc family representative must be an arc point")
-        return disk_face_from_json(body, rep)
+        return _arc_family_from_json(body, doc)
     raise FormatError(f"unknown disk face kind {_excerpt(kind)}")
 
 

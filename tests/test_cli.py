@@ -56,6 +56,8 @@ def files(tmp_path_factory):
     arc_point = {"kind": "arc_point", "disk": 0, "direction": ["1", "0"]}
     write("nested_arc_family.json", {"kind": "arc_family", "representative": {
         "kind": "arc_family", "representative": arc_point}})
+    write("arc_family_disk_7.json", {"kind": "arc_family", "disk": 7, "start": ["9", "9"], "end": None,
+                                     "representative": arc_point})
     write("huge_literal.json", {"vertices": [["1" + "0" * 4300]]})
     big = 10**3000
     write("huge_simplex.json", {"vertices": [
@@ -335,6 +337,16 @@ class TestErrorPaths:
         )
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
+
+    def test_arc_family_not_on_the_body(self, files):
+        # The cone has no disk 7; a valid representative does not make up
+        # for the family itself.
+        result = run_cli(
+            "diskhull-certify", "--input", files["cone.json"], "--face", files["arc_family_disk_7.json"]
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: no arc family on disk 7 from ['9', '9'] to None\n"
 
     def test_oversized_input_number_is_a_size_guard(self, files):
         result = run_cli("faces", "--input", files["huge_literal.json"])

@@ -161,12 +161,24 @@ def test_every_subcommand_keeps_the_exit_code_contract(fuzz_dir, data):
     assert "Traceback" not in err, (argv, err)
 
 
+def _valid_documents():
+    """Each subcommand with its first valid documents, and diskhull-certify
+    with every proper face of each body and that body."""
+    for command, (files, _flags) in COMMANDS.items():
+        if command == "diskhull-certify":
+            for body in _BODIES:
+                for face in body.faces()[1:]:
+                    yield command, [jsonio.disk_body_to_json(body), jsonio.disk_face_to_json(face)]
+        else:
+            yield command, [VALID[kind][0] for _flag, kind in files]
+
+
 def test_valid_documents_pass(fuzz_dir):
     """The unmutated documents are accepted, so mutations start from valid input."""
-    for command, (files, flags) in COMMANDS.items():
+    for command, docs in _valid_documents():
+        files, flags = COMMANDS[command]
         argv = [command]
-        for flag, kind in files:
-            doc = VALID["disk_face"][-1] if kind == "disk_face" else VALID[kind][0]
+        for (flag, _kind), doc in zip(files, docs):
             path = fuzz_dir / f"valid-{command}-{flag.strip('-')}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
             argv += [flag, str(path)]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import facelex as fx
 from facelex.core import primitive_tuple
-from helpers import disk_body_samples, lf, pt
+from helpers import count_calls, disk_body_samples, lf, pt
 
 small_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=24)
 radicands = st.integers(min_value=0, max_value=60)
@@ -152,11 +152,23 @@ class TestSupportMin:
 
     def test_tied_disks_without_an_edge_report_the_largest(self):
         # Internally tangent at (-1, 0): both disks attain the minimum of x
-        # there, and no edge runs along x = -1.
+        # there, but disk 0 lies in disk 1, so only disk 1 is compared.
         body = fx.DiskBody([((0, 0), 1), ((1, 0), 2)])
         value, face = body.support_min(lf(1, 0))
         assert value.as_rational() == -1
         assert face == fx.ArcPoint(disk=1, direction=lf(1, 0))
+
+    def test_point_on_an_outer_circle_is_not_compared(self):
+        # The point (-3, 4) lies on the circle of disk 1, and both reach the
+        # minimum -4 of -y there.  The point adds nothing to the body, so no
+        # edge is looked for; edges() refuses this body, whose outer tangents
+        # of disks 1 and 2 are hull edges with irrational normals.
+        body = fx.DiskBody([((-3, 4), 0), ((-3, 2), 2), ((-6, -4), 3)])
+        value, face = body.support_min(lf(0, -1))
+        assert value.as_rational() == -4
+        assert face == fx.ArcPoint(disk=1, direction=lf(0, -1))
+        with pytest.raises(fx.UnsupportedConfigurationError):
+            body.edges()
 
     def test_tied_disks_on_a_fractional_edge_report_the_edge(self):
         # Both disks touch x = 1/2 along a segment; the edge stores the
@@ -247,6 +259,25 @@ class TestHullStructure:
         body = fx.DiskBody([((0, 0), 1), ((2, 0), 0)])
         with pytest.raises(fx.UnsupportedConfigurationError):
             body.edges()
+
+    def test_disks_inside_one_disk_pair_with_nothing(self, monkeypatch):
+        calls = count_calls(monkeypatch, fx.DiskBody, "_pair_edges")
+        body = fx.DiskBody([((0, 0), 10)] + [((x, 0), 1) for x in (-8, -4, 0, 4, 8)])
+        representative = fx.ArcPoint(disk=0, direction=lf(1, 0))
+        circle = fx.ArcFamily(disk=0, start=None, end=None, representative=representative)
+        assert body.faces() == (fx.Whole(), circle)
+        assert len(calls) == 0
+
+    def test_disks_inside_the_cone_pair_with_nothing(self, monkeypatch):
+        # Two unit disks inside the disk of radius 3, and a point on its
+        # circle at the tangency point (9/5, 12/5): only the disk of radius
+        # 3 and the apex are paired.
+        cone = [((0, 0), 3), ((5, 0), 0)]
+        expected = [_face_data(f) for f in fx.DiskBody(cone).faces()]
+        calls = count_calls(monkeypatch, fx.DiskBody, "_pair_edges")
+        body = fx.DiskBody(cone + [((1, 0), 1), ((-1, 0), 1), ((Fraction(9, 5), Fraction(12, 5)), 0)])
+        assert [_face_data(f) for f in body.faces()] == expected
+        assert len(expected) == 7 and len(calls) == 1
 
 
 class TestContains:
@@ -630,24 +661,33 @@ class TestEdgesIndependently:
                     assert edge.normal(end) == edge.offset
 
 
-def _face_counts(disks):
-    """The faces of the body on these disks, each disk index replaced by
-    the disk it names (``DiskBody`` drops repeated disks)."""
-    body = fx.DiskBody(disks)
-    counts = Counter()
-    for face in body.faces():
+AXES = [lf(1, 0), lf(-1, 0), lf(0, 1), lf(0, -1)]
+
+
+def _answers(body, directions=(), points=()):
+    """What the body answers: its faces with their counts, ``support_min``
+    in each direction and ``contains`` at each point, every disk index
+    replaced by the disk it names (``DiskBody`` drops repeated disks)."""
+
+    def named(face):
+        if isinstance(face, fx.ArcPoint):
+            return ("arc point", body.disks[face.disk], face.direction.coeffs)
         data = _face_data(face)
         if isinstance(face, fx.Edge):
-            data = (data[0], tuple(body.disks[i] for i in face.disks), *data[2:])
-        elif isinstance(face, fx.ArcFamily):
-            data = (data[0], body.disks[face.disk], data[2], body.disks[face.representative.disk], data[4])
-        counts[data] += 1
-    return counts
+            return (data[0], tuple(body.disks[i] for i in face.disks), *data[2:])
+        if isinstance(face, fx.ArcFamily):
+            return (data[0], body.disks[face.disk], data[2], body.disks[face.representative.disk], data[4])
+        return data
+
+    counts = Counter(named(face) for face in body.faces())
+    support = [(value, named(face)) for value, face in map(body.support_min, directions)]
+    return counts, support, [body.contains(p) for p in points]
 
 
 class TestFacesDependOnlyOnTheBody:
     """The face list is a property of the set: listing its disks in another
-    order, or adding disks that lie inside it, leaves it unchanged."""
+    order, or adding disks that lie inside it, leaves it unchanged, and
+    adding such disks leaves supports and membership unchanged too."""
 
     def test_shuffled_and_nested_disks_on_pythagorean_polygons(self):
         rng = random.Random(4051)
@@ -656,6 +696,7 @@ class TestFacesDependOnlyOnTheBody:
         for x, y in PYTHAGOREAN:
             c = math.isqrt(x * x + y * y)
             units += [(Fraction(x, c), Fraction(y, c)), (Fraction(-x, c), Fraction(-y, c))]
+        seen = Counter()
         for _ in range(120):
             vertices = _pythagorean_polygon(rng)
             r = Fraction(rng.randint(1, 6), rng.randint(1, 2))
@@ -667,8 +708,21 @@ class TestFacesDependOnlyOnTheBody:
                 (x, y), (ux, uy) = rng.choice(vertices), rng.choice(units)
                 rho = r * Fraction(rng.randint(0, 3), 4)
                 nested.append(((x + (r - rho) * ux, y + (r - rho) * uy), rho))
-            faces = _face_counts(disks)
-            assert _face_counts(disks + nested) == faces, nested
+            bare = fx.DiskBody(disks)
+            # The polygon is centrally symmetric: the edge normals reach
+            # every edge.
+            directions = [edge.normal for edge in bare.edges()] + AXES
+            # Points of the body, and points of a box one unit wider than it.
+            low = [min(v[k] for v in vertices) - r - 1 for k in (0, 1)]
+            high = [max(v[k] for v in vertices) + r + 1 for k in (0, 1)]
+            points = disk_body_samples(bare, rng, 8) + [
+                pt(*(low[k] + (high[k] - low[k]) * Fraction(rng.randint(0, 16), 16) for k in (0, 1)))
+                for _ in range(12)
+            ]
+            answers = _answers(bare, directions, points)
+            seen.update(answers[2])
+            assert _answers(fx.DiskBody(disks + nested), directions, points) == answers, nested
             for listed in (disks, disks + nested):
                 shuffled = rng.sample(listed, len(listed))
-                assert _face_counts(shuffled) == faces, shuffled
+                assert _answers(fx.DiskBody(shuffled))[0] == answers[0], shuffled
+        assert seen[True] > 1200 and seen[False] > 600, seen

@@ -5,7 +5,7 @@ import pytest
 
 import facelex as fx
 from facelex import jsonio
-from helpers import af, cone_body, unit_square
+from helpers import af, cone_body, stadium_body, unit_square
 
 
 class TestRoundTrips:
@@ -49,17 +49,10 @@ class TestRoundTrips:
         assert parsed.disks == body.disks
 
     def test_disk_faces(self):
-        body = cone_body()
-        for face in body.faces():
-            doc = jsonio.disk_face_to_json(face)
-            if isinstance(face, fx.Whole):
-                assert doc == {"kind": "whole"}
-                continue
-            parsed = jsonio.disk_face_from_json(body, doc)
-            if isinstance(face, fx.ArcFamily):
-                assert parsed == face.representative  # families resolve to their member
-            else:
-                assert parsed == face
+        for body in (cone_body(), stadium_body()):
+            for face in body.faces():
+                doc = jsonio.disk_face_to_json(face)
+                assert jsonio.disk_face_from_json(body, doc) == face
 
     def test_rationals_serialized_in_lowest_terms(self):
         point = fx.Point((Fraction(2, 4), Fraction(-6, 3)))
@@ -124,14 +117,59 @@ class TestParseErrors:
             jsonio.load_document("[" * 100000 + "]" * 100000)
 
     def test_arc_family_representative_must_be_arc_point(self):
+        # A family is named by its disk and bounds; a representative alone,
+        # nested or flat, names none.
         arc_point = {"kind": "arc_point", "disk": 0, "direction": ["1", "0"]}
         nested = {"kind": "arc_family", "representative": {"kind": "arc_family", "representative": arc_point}}
         with pytest.raises(fx.FormatError):
             jsonio.disk_face_from_json(cone_body(), nested)
         flat = {"kind": "arc_family", "representative": arc_point}
-        assert jsonio.disk_face_from_json(cone_body(), flat) == fx.ArcPoint(
-            disk=0, direction=fx.LinearFunctional((Fraction(1), Fraction(0)))
+        with pytest.raises(fx.FormatError):
+            jsonio.disk_face_from_json(cone_body(), flat)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"disk": 7},
+            {"disk": True},
+            {"disk": 1},
+            {"start": ["9", "9"]},
+            {"start": ["6", "8"]},
+            {"end": None},
+            {"end": ["3", "4", "0"]},
+            {"end": "3,4"},
+        ],
+    )
+    def test_arc_family_must_be_listed(self, change):
+        body = cone_body()
+        family = next(f for f in body.faces() if isinstance(f, fx.ArcFamily) and f.disk == 0)
+        doc = jsonio.disk_face_to_json(family)
+        assert jsonio.disk_face_from_json(body, doc) == family
+        with pytest.raises(fx.FormatError):
+            jsonio.disk_face_from_json(body, {**doc, **change})
+
+    @pytest.mark.parametrize("bound", ["start", "end"])
+    def test_arc_family_bounds_are_required(self, bound):
+        body = fx.DiskBody([((0, 0), 2)])
+        doc = jsonio.disk_face_to_json(body.faces()[1])
+        assert doc[bound] is None
+        del doc[bound]
+        with pytest.raises(fx.FormatError):
+            jsonio.disk_face_from_json(body, doc)
+
+    def test_edge_offset_is_required(self):
+        # The edge x >= 0 has offset 0, so a missing offset must not be
+        # read as 0.
+        body = fx.DiskBody([((1, 0), 1), ((1, 4), 1)])
+        tangency = next(
+            f for f in body.faces() if isinstance(f, fx.TangencyPoint) and f.edge.offset == 0
         )
+        doc = jsonio.disk_face_to_json(tangency)
+        assert jsonio.disk_face_from_json(body, doc) == tangency
+        del doc["edge"]["offset"]
+        for incomplete in (doc, doc["edge"]):
+            with pytest.raises(fx.FormatError, match="an edge needs an 'offset'"):
+                jsonio.disk_face_from_json(body, incomplete)
 
     def test_float_rationals_rejected(self):
         with pytest.raises(fx.FormatError):
