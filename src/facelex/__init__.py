@@ -22,7 +22,6 @@ from .core import (
     AffineManifold,
     LinearFunctional,
     Point,
-    Rational,
     affine_hull,
     barycenter,
     format_rational,
@@ -99,7 +98,6 @@ __all__ = [
     "Point",
     "Polytope",
     "QuadScalar",
-    "Rational",
     "Region",
     "SizeGuardExceededError",
     "StepAffineFunction",

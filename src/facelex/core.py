@@ -17,11 +17,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError, SizeGuardExceededError
 
-# Exact scalar type used throughout: arbitrary-precision numerator, positive
-# denominator, always in lowest terms.  fractions.Fraction guarantees all
-# three invariants.
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

@@ -11,10 +11,13 @@ Support values in an arbitrary rational direction live in a quadratic
 extension (center term plus radius times the direction norm), so exact
 comparisons use :class:`QuadScalar`.  Each pair of disks has its outer
 common tangents in closed form over Q(h), h the square root of the squared
-center distance minus the squared radius difference, and one
-``QuadScalar`` sign per disk decides whether a disk crosses such a line.
-A line that some disk crosses is not on the hull and is dropped whatever
-its data; only a hull edge whose normal is irrational raises
+center distance minus the squared radius difference, and the sign of one
+element of Q(h) per disk decides whether a disk crosses such a line.  One
+function, ``_sign``, decides every sign in a quadratic extension: those of
+``QuadScalar``, and those of the tangent scan, which reads the disks as
+int rows and builds no ``QuadScalar``.  A line that some disk crosses is
+not on the hull and is dropped whatever its data; only a hull edge whose
+normal is irrational raises
 :class:`UnsupportedConfigurationError`, since its edge, tangency points and
 certificates would not be rational.
 
@@ -55,6 +58,20 @@ from .errors import (
 )
 from .polytope import Polytope
 from .stepaffine import Cortege
+
+
+def _sign(a: Fraction | int, b: Fraction | int, n: Fraction | int) -> int:
+    """The sign of a + b*sqrt(n), n >= 0, in exact ``int`` or ``Fraction``
+    arithmetic: the only sign decision in Q(sqrt(n))."""
+    if b == 0 or n == 0:
+        return (a > 0) - (a < 0)
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    # Opposite signs: the larger square carries its sign.
+    lhs, rhs = a * a, b * b * n
+    if lhs == rhs:
+        return 0
+    return (1 if a > 0 else -1) if lhs > rhs else (1 if b > 0 else -1)
 
 
 @total_ordering
@@ -116,21 +133,7 @@ class QuadScalar:
         return self.rational
 
     def sign(self) -> int:
-        a, b, s = self.rational, self.coeff, self.radicand
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        # Opposite signs: compare the squares of the two magnitudes.
-        lhs, rhs = a * a, b * b * s
-        if lhs == rhs:
-            return 0
-        dominant_is_a = lhs > rhs
-        if dominant_is_a:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
+        return _sign(self.rational, self.coeff, self.radicand)
 
     def _common_radicand(self, other: QuadScalar) -> tuple[Fraction, Fraction, Fraction]:
         """``(s, b, d)`` with self = a + b*sqrt(s) and other = c + d*sqrt(s).
@@ -198,7 +201,8 @@ class QuadScalar:
     def __lt__(self, other: QuadScalar | Fraction | int) -> bool:
         if not isinstance(other, QuadScalar):
             other = QuadScalar.of(other)
-        return (self - other).sign() < 0
+        s, b, d = self._common_radicand(other)
+        return _sign(self.rational - other.rational, b - d, s) < 0
 
     def __repr__(self) -> str:
         if self.coeff == 0:
@@ -303,23 +307,17 @@ def _cross(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _ccw_sort_key(v: Sequence[Fraction]):
-    """Total order on nonzero directions by counterclockwise angle from +x."""
-    half = 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-    return half, _AngleWithin((v[0], v[1]))
+def _ccw_sort_key(v: Sequence[Fraction]) -> tuple:
+    """Total order on nonzero directions by counterclockwise angle from +x.
 
-
-class _AngleWithin:
-    """Comparison helper: within one half-turn, cross product orders angles."""
-
-    def __init__(self, vec: tuple[Fraction, Fraction]):
-        self.vec = vec
-
-    def __lt__(self, other: "_AngleWithin") -> bool:
-        return _cross(self.vec, other.vec) > 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _AngleWithin) and _cross(self.vec, other.vec) == 0
+    The half-turn [0, pi) comes first; within it a direction on the x axis
+    starts, and the others follow by increasing -x/y, since the cotangent
+    x/y falls as the angle grows.
+    """
+    x, y = v
+    if y == 0:
+        return (x < 0, False, 0)
+    return (y < 0, True, Fraction(-x, y))
 
 
 def _describe(disk: Disk) -> str:
@@ -343,20 +341,22 @@ def _direction_between(start: Sequence[Fraction], end: Sequence[Fraction]) -> tu
     return _perp((start[0], start[1]))
 
 
-def _outer_disks(disks: Sequence[Disk]) -> tuple[int, ...]:
-    """Indices of the disks that no other disk contains.
+def _outer_disks(disks: Sequence[Disk]) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """Indices of the disks that no other disk contains, and every disk as
+    an int row (x, y, r) over one common denominator.
 
     Disk (x, y, r) lies in (u, v, R) when R > r and (x - u)^2 + (y - v)^2
     <= (R - r)^2: different disks of equal radius never nest, and a body
-    drops repeated disks.  The test runs on int numerators over one
-    common denominator, so its n^2 pairs do no ``Fraction`` arithmetic.
+    drops repeated disks.  The test runs on the rows, so its n^2 pairs do
+    no ``Fraction`` arithmetic.
     """
     nums, _ = _over_common_denominator([v for disk in disks for v in (*disk.center.coords, disk.radius)])
-    rows = [nums[k:k + 3] for k in range(0, len(nums), 3)]
-    return tuple(
+    rows = tuple(nums[k:k + 3] for k in range(0, len(nums), 3))
+    outer = tuple(
         i for i, (x, y, r) in enumerate(rows)
         if not any(big > r and (x - u) ** 2 + (y - v) ** 2 <= (big - r) ** 2 for u, v, big in rows)
     )
+    return outer, rows
 
 
 # -- the body ---------------------------------------------------------------
@@ -378,10 +378,11 @@ class DiskBody:
         if not items:
             raise ValueError("a disk body needs at least one disk")
         self._disks = tuple(items)
-        self._outer = _outer_disks(items)  # every hull query reads only these
+        # Every hull query reads only the outer disks; tangent tests read
+        # their int rows.
+        self._outer, self._rows = _outer_disks(items)
         self._lock = threading.Lock()
         self._edges: tuple[Edge, ...] | None = None
-        self._faces: tuple[DiskFace, ...] | None = None
         self._hull_polygon: Polytope | None = None
 
     @property
@@ -396,8 +397,8 @@ class DiskBody:
         The minimum over one disk is ``l(center) - radius * |l|``, and only
         the outer disks are compared.  Two or more attaining outer disks
         touch the supporting line at distinct points, so the reported face
-        is the edge on that line; otherwise it is the arc point of the one
-        attaining disk.
+        is the edge on that line, an outer tangent of the first two; otherwise
+        it is the arc point of the one attaining disk.
         """
         _require_same_dim(2, direction.dim)
         if direction.is_zero():
@@ -411,7 +412,8 @@ class DiskBody:
             # An edge's normal is scaled with its offset into coprime
             # integers, so compare directions; one line supports per direction.
             outward = (-direction).primitive()
-            return best, next(edge for edge in self.edges() if edge.normal.primitive() == outward)
+            edges = self._pair_edges(*attaining[:2])
+            return best, next(edge for edge in edges if edge.normal.primitive() == outward)
         return best, ArcPoint(disk=attaining[0], direction=direction.primitive())
 
     def arc_point_coordinates(self, face: ArcPoint) -> tuple[QuadScalar, QuadScalar]:
@@ -448,41 +450,44 @@ class DiskBody:
         s = +-1 and D' the quarter turn of D.  As
         n.D = k, both disks reach the same support, and outer disk m
         crosses the line when n.e + r_m - r_i > 0, e = c_m - c_i.  L times
-        that is k D.e + L (r_m - r_i) + s h D'.e, one element of Q(h), so
-        one ``QuadScalar`` sign decides each disk.  Neither of i and j
-        contains the other, so L > k^2, h > 0 and the two contacts differ:
-        every line that no outer disk crosses is an edge.  Only such a line
-        can raise, when its normal is irrational.
+        that is k D.e + L (r_m - r_i) + s h D'.e, and one ``_sign`` decides
+        it on the disks' int rows, which scale it by a positive cube.
+        Neither of i and j contains the other, so L > k^2, h > 0 and the two
+        contacts differ: every line that no outer disk crosses is an edge.
+        Only such a line takes h = isqrt(L - k^2), and it raises when its
+        normal is irrational.  The normal does not change when the rows are
+        scaled; its contacts and offset do, so they are built in the disks'
+        own coordinates.
         """
-        ri, rj = self._disks[i].radius, self._disks[j].radius
-        (xi, yi), (xj, yj) = self._disks[i].center.coords, self._disks[j].center.coords
+        rows = self._rows
+        xi, yi, ri = rows[i]
+        xj, yj, rj = rows[j]
         dx, dy = xi - xj, yi - yj
         length_sq = dx * dx + dy * dy
         k = rj - ri
         radicand = length_sq - k * k
-        root = QuadScalar(Fraction(0), Fraction(1), radicand)  # h, rational or not
         edges = []
         for s in (1, -1):
             touching: list[int] = []
             for m in self._outer:
                 if m != i and m != j:
-                    disk = self._disks[m]
-                    ex, ey = disk.center.coords[0] - xi, disk.center.coords[1] - yi
-                    crossing = QuadScalar(
-                        k * (dx * ex + dy * ey) + length_sq * (disk.radius - ri),
-                        s * (dx * ey - dy * ex),
-                        radicand,
-                    ).sign()
+                    x, y, r = rows[m]
+                    ex, ey = x - xi, y - yi
+                    rational = k * (dx * ex + dy * ey) + length_sq * (r - ri)
+                    crossing = _sign(rational, s * (dx * ey - dy * ex), radicand)
                     if crossing > 0:
                         break
                     if crossing < 0:
                         continue
                 touching.append(m)
             else:
-                if root.is_rational():
-                    h = s * root.rational
-                    normal = ((k * dx - h * dy) / length_sq, (k * dy + h * dx) / length_sq)
-                elif k == 0 and all(self._disks[m].radius == 0 for m in touching):
+                h = math.isqrt(radicand)
+                if h * h == radicand:
+                    normal = (
+                        Fraction(k * dx - s * h * dy, length_sq),
+                        Fraction(k * dy + s * h * dx, length_sq),
+                    )
+                elif k == 0 and all(rows[m][2] == 0 for m in touching):
                     normal = (-s * dy, s * dx)  # every contact is a center
                 else:
                     raise UnsupportedConfigurationError(
@@ -498,7 +503,8 @@ class DiskBody:
                     contact.append((along[0] * point[0] + along[1] * point[1], m, point))
                 first = min(contact, key=lambda c: c[0])
                 last = max(contact, key=lambda c: c[0])
-                scaled = primitive_tuple(normal + (normal[0] * xi + normal[1] * yi + ri,))
+                # The line passes through every contact.
+                scaled = primitive_tuple(normal + (normal[0] * first[2][0] + normal[1] * first[2][1],))
                 edges.append(
                     Edge(
                         disks=(first[1], last[1]),
@@ -515,9 +521,6 @@ class DiskBody:
         Arc families are direction ranges, not enumerated points; families
         on zero-radius disks are single exposed corner points.
         """
-        with self._lock:
-            if self._faces is not None:
-                return self._faces
         faces: list[DiskFace] = [Whole()]
         edges = self.edges()
         faces.extend(edges)
@@ -526,10 +529,7 @@ class DiskBody:
                 if self._disks[edge.disks[end]].radius > 0:
                     faces.append(TangencyPoint(edge=edge, end=end))
         faces.extend(self._arc_families(edges))
-        result = tuple(faces)
-        with self._lock:
-            self._faces = result
-        return result
+        return tuple(faces)
 
     def _arc_families(self, edges: Sequence[Edge]) -> list[ArcFamily]:
         """One family per arc: between each edge and the next one

@@ -187,6 +187,29 @@ def count_calls(monkeypatch, owner, name: str) -> list:
     return calls
 
 
+class AngleWithin:
+    """Reference order on directions within one half-turn: the cross
+    product orders their angles."""
+
+    def __init__(self, vec: Sequence[Fraction]):
+        self.vec = vec
+
+    def cross(self, other: "AngleWithin") -> Fraction:
+        return self.vec[0] * other.vec[1] - self.vec[1] * other.vec[0]
+
+    def __lt__(self, other: "AngleWithin") -> bool:
+        return self.cross(other) > 0
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, AngleWithin) and self.cross(other) == 0
+
+
+def ccw_reference_key(v: Sequence[Fraction]) -> tuple:
+    """Counterclockwise angle from +x: the half-turn, then the cross product."""
+    half = 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+    return half, AngleWithin(v)
+
+
 def literal_first_nonzero(cortege: fx.Cortege, x: fx.Point) -> Fraction:
     """Reference evaluator: least index with a nonzero value, else zero."""
     hit = [f for f in cortege.functionals if f(x) != 0]

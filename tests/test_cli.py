@@ -44,7 +44,7 @@ def files(tmp_path_factory):
     body = cone_body()
     tangency = next(
         f for f in body.faces()
-        if isinstance(f, fx.TangencyPoint) and f.point.coords == (fx.Rational(9, 5), fx.Rational(12, 5))
+        if isinstance(f, fx.TangencyPoint) and f.point.coords == (Fraction(9, 5), Fraction(12, 5))
     )
     write("tangency.json", jsonio.disk_face_to_json(tangency))
     write("tangency_end_true.json", {**jsonio.disk_face_to_json(tangency), "end": True})

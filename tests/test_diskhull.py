@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -10,10 +11,20 @@ from hypothesis import strategies as st
 
 import facelex as fx
 from facelex.core import primitive_tuple
-from helpers import count_calls, disk_body_samples, lf, pt
+from facelex.diskhull import _ccw_sort_key, _sign
+from helpers import ccw_reference_key, count_calls, disk_body_samples, lf, pt
 
 small_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=24)
 radicands = st.integers(min_value=0, max_value=60)
+small_numbers = st.one_of(small_rationals, st.integers(min_value=-30, max_value=30))
+# Zero, perfect squares (integer and fractional) and any other radicand.
+any_radicands = st.one_of(
+    st.just(0),
+    st.integers(min_value=0, max_value=12).map(lambda r: r * r),
+    st.fractions(min_value=0, max_value=6, max_denominator=6).map(lambda r: r * r),
+    radicands,
+    st.fractions(min_value=0, max_value=60, max_denominator=12),
+)
 square_free = [m for m in range(2, 80) if all(m % (p * p) for p in range(2, 9))]
 
 
@@ -37,10 +48,26 @@ def bracket_sign(q: fx.QuadScalar) -> int:
 
 
 class TestQuadScalar:
-    @given(a=small_rationals, b=small_rationals, s=radicands)
-    def test_sign_matches_bracketing_oracle(self, a, b, s):
-        q = fx.QuadScalar(a, b, Fraction(s))
-        assert q.sign() == bracket_sign(q)
+    @given(a=small_numbers, b=small_numbers, n=any_radicands)
+    def test_sign_matches_bracketing_oracle(self, a, b, n):
+        q = fx.QuadScalar(a, b, Fraction(n))
+        assert q.sign() == _sign(a, b, n) == bracket_sign(q)
+
+    @given(
+        a=small_rationals,
+        b=small_rationals,
+        c=small_rationals,
+        d=small_rationals,
+        radicands=st.sampled_from([(5, 5), (8, 2), (2, 8), (18, 8), (0, 7), (7, 0)]),
+    )
+    def test_ordering_between_quad_scalars(self, a, b, c, d, radicands):
+        # One radicand, compatible ones (their product is a square), and
+        # one side rational.
+        x = fx.QuadScalar(a, b, Fraction(radicands[0]))
+        y = fx.QuadScalar(c, d, Fraction(radicands[1]))
+        sign = bracket_sign(x - y)
+        assert [x < y, x == y, x > y] == [sign < 0, sign == 0, sign > 0]
+        assert [y < x, x <= y, x >= y] == [sign > 0, sign <= 0, sign >= 0]
 
     def test_square_radicand_collapses(self):
         assert fx.QuadScalar(1, 3, Fraction(4)).as_rational() == 7
@@ -180,6 +207,18 @@ class TestSupportMin:
         assert face.normal == lf(2, 0) and face.offset == 1
         with pytest.raises(ValueError, match="does not expose"):
             body.certify(fx.ArcPoint(disk=0, direction=lf(-1, 0)))
+
+    def test_tie_reads_the_edge_of_the_attaining_pair(self):
+        # Disks 0 and 2 attain the minimum -4 of -x on the line x = 4.  The
+        # outer tangents of disks 0 and 1 are hull edges with irrational
+        # normals, so edges() refuses the body, but the tie needs only the
+        # tangents of disks 0 and 2.
+        body = fx.DiskBody([((3, 4), 1), ((-3, 0), 1), ((3, -4), 1)])
+        value, face = body.support_min(lf(-1, 0))
+        assert value.as_rational() == -4
+        assert face == fx.Edge(disks=(2, 0), normal=lf(1, 0), offset=Fraction(4), endpoints=(pt(4, -4), pt(4, 4)))
+        with pytest.raises(fx.UnsupportedConfigurationError):
+            body.edges()
 
     def test_zero_functional_rejected(self, cone_body):
         with pytest.raises(fx.ZeroFunctionalError):
@@ -590,6 +629,18 @@ PYTHAGOREAN = sorted(
 )
 
 
+def test_ccw_sort_key_matches_the_cross_product_order():
+    signed = [(sx * x, sx * y) for x, y in PYTHAGOREAN for sx in (1, -1)]
+    others = [(1, 1), (-1, 1), (1, -1), (-1, -1), (2, -3), (-5, -7), (7, 1), (-7, -1),
+              (Fraction(1, 2), Fraction(-1, 3)), (Fraction(-2, 3), 0), (6, 8), (0, -5)]
+    directions = [tuple(Fraction(c) for c in v) for v in signed + others]
+    for u, v in itertools.product(directions, repeat=2):
+        key_u, key_v = _ccw_sort_key(u), _ccw_sort_key(v)
+        ref_u, ref_v = ccw_reference_key(u), ccw_reference_key(v)
+        assert (key_u < key_v, key_u == key_v) == (ref_u < ref_v, ref_u == ref_v), (u, v)
+    assert sorted(directions, key=_ccw_sort_key) == sorted(directions, key=ccw_reference_key)
+
+
 def _as_edge_rows(pairs):
     return sorted((tuple(normal), offset) for normal, offset in pairs)
 
@@ -601,13 +652,48 @@ def _pythagorean_polygon(rng):
     # partial sums close up into a convex polygon.
     half = sorted(rng.sample(range(len(PYTHAGOREAN)), rng.randint(2, 5)))
     steps = [(m * x, m * y) for (x, y), m in ((PYTHAGOREAN[k], rng.randint(1, 3)) for k in half)]
-    steps += [(-x, -y) for x, y in steps]
-    corner = (rng.randint(-9, 9), rng.randint(-9, 9))
+    return _polygon(steps, (rng.randint(-9, 9), rng.randint(-9, 9)))
+
+
+def _polygon(steps, corner):
+    """The polygon from ``corner`` along the steps, then along their
+    negations: convex when the steps increase in angle over a half-turn."""
     vertices = []
-    for dx, dy in steps:
+    for dx, dy in steps + [(-x, -y) for x, y in steps]:
         vertices.append(corner)
         corner = (corner[0] + dx, corner[1] + dy)
     return vertices
+
+
+def _ten_disk_polygon():
+    """Disks of radius 3/2 on a ten-gon whose edges run along Pythagorean
+    directions, and a disk nested in the first of them."""
+    vertices = _polygon([(2, 0), (4, 3), (3, 4), (0, 2), (-3, 4)], (0, 0))
+    radius = Fraction(3, 2)
+    return [(v, radius) for v in vertices] + [((0, Fraction(1, 2)), 1)]
+
+
+class TestWorkGates:
+    """Disk-hull work counted exactly: the tangent scan decides its signs on
+    int rows, and a support builds one value per outer disk."""
+
+    def test_edges_build_no_quad_scalar(self, monkeypatch):
+        body = fx.DiskBody(_ten_disk_polygon())
+        built = count_calls(monkeypatch, fx.QuadScalar, "__post_init__")
+        assert len(body.edges()) == 10
+        assert len(built) == 0
+
+    def test_support_builds_one_value_per_outer_disk(self, monkeypatch):
+        body = fx.DiskBody(_ten_disk_polygon())
+        # A negated edge normal reaches two disks, the other directions one.
+        directions = [-edge.normal for edge in body.edges()] + [lf(1, 1), lf(-2, 1), lf(3, -7)]
+        built = count_calls(monkeypatch, fx.QuadScalar, "__post_init__")
+        kinds = []
+        for direction in directions:
+            del built[:]
+            kinds.append(type(body.support_min(direction)[1]))
+            assert len(built) == 10, direction
+        assert kinds == [fx.Edge] * 10 + [fx.ArcPoint] * 3
 
 
 class TestEdgesIndependently:
