@@ -4,6 +4,10 @@ These oracles trade speed for independence: they reach the same answers
 through definitionally different routes, so agreement is meaningful.  They
 ship in the library (not only in the tests) to back the CLI --cross-check
 flag.  All randomness flows through an explicit seed.
+
+The facet, face and refuter oracles compute on ints: the points are scaled
+once by the lcm of their denominators, and a ``Fraction`` is built only for
+a result.
 """
 
 from __future__ import annotations
@@ -11,17 +15,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
+from operator import mul
 from typing import Sequence
 
-from .core import (
-    LinearFunctional,
-    Point,
-    affine_hull,
-    nullspace_basis,
-    primitive_tuple,
-    solve_linear_system,
-)
+from .core import LinearFunctional, Point, affine_hull, nullspace_basis
 from .errors import SizeGuardExceededError
 from .polytope import FaceDescriptor, Polytope
 from .sampling import _int_combination, _int_weights
@@ -35,15 +33,31 @@ _MAX_FACETS = 16  # candidate functionals grow as 2**facets
 _MAX_SUBSETS = 4096  # oracle_facets solves one nullspace per d-subset; the 4-cube needs 1820
 
 
+def _scaled_points(points: Sequence[Point]) -> tuple[int, list[list[int]]]:
+    """The lcm L of the points' denominators, and the int vectors L x."""
+    scale = lcm(*(p._scaled[1] for p in points))
+    return scale, [[n * (scale // den) for n in nums] for nums, den in (p._scaled for p in points)]
+
+
 def oracle_facets(points: Sequence[Point]) -> list[tuple[LinearFunctional, Fraction, tuple[int, ...]]]:
     """Facets of conv(points) relative to its affine hull, in ambient form.
 
     Brute force: every hyperplane through an affinely independent d-subset
     (d the intrinsic dimension) is kept when all points lie weakly on one
-    side, oriented as functional(x) <= offset, and deduplicated by the
-    normalized (functional, offset) pair.  This tries all C(n, d) subsets,
-    one nullspace solve each, so it is meant for desk-scale inputs only;
-    the result has the shape and order of the main path's facet list.
+    side, oriented as functional(x) <= offset, and deduplicated.  This
+    tries all C(n, d) subsets, one nullspace solve each, so it is meant for
+    desk-scale inputs only; the result has the shape and order of the main
+    path's facet list.
+
+    Everything runs on ints in one chart.  The points, scaled by the lcm L
+    of their denominators, are int vectors X_i, and the d int directions
+    that :func:`affine_hull` returns are the rows of D.  Those rows are
+    independent, so y = D X is an affine bijection of the hull onto Q^d,
+    and y_i = D X_i are the points' chart coordinates.  A kernel vector
+    (s, c) of the rows (y_i, -1) of a d-subset is the hyperplane
+    s.y = c; since s.y = (L D^T s).x, it maps back to the ambient row
+    (L D^T s, c), divided by its gcd.  That row lies in the span of the
+    hull's directions, which makes it the one primitive row of its facet.
     """
     hull = affine_hull(points)
     d = hull.dim
@@ -53,70 +67,32 @@ def oracle_facets(points: Sequence[Point]) -> list[tuple[LinearFunctional, Fract
         raise SizeGuardExceededError(
             f"oracle_facets guard: C({len(points)}, {d}) subsets exceed {_MAX_SUBSETS}"
         )
-    ambient = hull.ambient_dim
+    scale, scaled = _scaled_points(points)
+    directions = [[c.numerator for c in dir_.coords] for dir_ in hull.directions]
+    chart = [[sum(map(mul, row, x)) for row in directions] for x in scaled]
 
-    if d == ambient:
-        intrinsic = [p.coords for p in points]
-        to_ambient = None
-    else:
-        # Intrinsic coordinates t with x = base + D t; D has independent
-        # columns, so G = (D^T D)^{-1} D^T is an exact left inverse.
-        columns = [dir_.coords for dir_ in hull.directions]  # rows here = D columns
-        gram = [
-            [sum(a * b for a, b in zip(columns[i], columns[j])) for j in range(d)]
-            for i in range(d)
-        ]
-        g_rows: list[list[Fraction]] = []
-        for k in range(ambient):
-            rhs = [columns[i][k] for i in range(d)]
-            col = solve_linear_system(gram, rhs, d)
-            assert col is not None  # gram matrix of independent columns is invertible
-            g_rows.append(col)
-        # g_rows[k][j] = G[j][k]; intrinsic coords of x are G (x - base).
-        base = hull.base
-
-        def coords_of(p: Point) -> tuple[Fraction, ...]:
-            delta = p - base
-            return tuple(
-                sum(g_rows[k][j] * delta.coords[k] for k in range(ambient))
-                for j in range(d)
-            )
-
-        intrinsic = [coords_of(p) for p in points]
-        to_ambient = (g_rows, base)
-
-    found: dict[tuple[tuple[Fraction, ...], Fraction], tuple[LinearFunctional, Fraction, tuple[int, ...]]] = {}
-    for subset in combinations(range(len(points)), d):
-        rows = [list(intrinsic[i]) + [Fraction(-1)] for i in subset]
-        kernel = nullspace_basis(rows, d + 1)
+    found: dict[tuple[int, ...], tuple[LinearFunctional, Fraction, tuple[int, ...]]] = {}
+    for subset in combinations(chart, d):
+        kernel = nullspace_basis([y + [-1] for y in subset], d + 1)
         if len(kernel) != 1:
             continue  # affinely dependent subset
-        *w, c = kernel[0]
-        values = [sum(wk * tk for wk, tk in zip(w, t)) for t in intrinsic]
-        if all(v <= c for v in values):
-            pass
-        elif all(v >= c for v in values):
-            w = [-wk for wk in w]
-            c = -c
+        den = lcm(*(v.denominator for v in kernel[0]))
+        *s, c = (v.numerator * (den // v.denominator) for v in kernel[0])
+        values = [sum(map(mul, s, y)) for y in chart]
+        if max(values) > c:
+            if min(values) < c:
+                continue
+            s, c = [-sk for sk in s], -c
             values = [-v for v in values]
-        else:
+        g = gcd(*s, c)
+        key = tuple(v // g for v in s) + (c // g,)
+        if key in found:
             continue
+        row = [scale * sum(map(mul, s, col)) for col in zip(*directions)] + [c]
+        g = gcd(*row)
+        *coeffs, offset = (v // g for v in row)
         tight = tuple(i for i, v in enumerate(values) if v == c)
-
-        if to_ambient is None:
-            coeffs: Sequence[Fraction] = w
-            offset = c
-        else:
-            g_rows, base = to_ambient
-            coeffs = [
-                sum(w[j] * g_rows[k][j] for j in range(d)) for k in range(ambient)
-            ]
-            offset = c + sum(ck * bk for ck, bk in zip(coeffs, base.coords))
-
-        normalized = primitive_tuple(tuple(coeffs) + (offset,))
-        key = (normalized[:-1], normalized[-1])
-        if key not in found:
-            found[key] = (LinearFunctional(normalized[:-1]), normalized[-1], tight)
+        found[key] = (LinearFunctional(tuple(coeffs)), Fraction(offset), tight)
     return sorted(found.values(), key=lambda item: (item[0].coeffs, item[1]))
 
 
@@ -129,10 +105,23 @@ def oracle_faces(polytope: Polytope) -> tuple[FaceDescriptor, ...]:
     tight sets, and it finds facets with :func:`oracle_facets`, so it is
     independent of both the facet-intersection route and the main path's
     facet enumeration.
+
+    The sums are walked in Gray-code order on ints.  Each inward normal is
+    evaluated once at the face's points, scaled by the lcm of their
+    denominators; consecutive masks differ in one bit, so one running
+    vector of values steps from mask to mask by adding or subtracting one
+    normal's values.  The guard counts the intrinsic dimension, which sets
+    the cost; the ambient one only widens the chart.
     """
-    if len(polytope.vertices) > _MAX_VERTICES or polytope.ambient_dim > _MAX_DIM:
+    vertex_count = len(polytope.vertices)
+    if vertex_count > _MAX_VERTICES:
         raise SizeGuardExceededError(
-            f"oracle_faces guard: at most {_MAX_VERTICES} vertices in dim {_MAX_DIM}"
+            f"oracle_faces guard: {vertex_count} vertices exceed {_MAX_VERTICES}"
+        )
+    dim = affine_hull(polytope.vertices).dim
+    if dim > _MAX_DIM:
+        raise SizeGuardExceededError(
+            f"oracle_faces guard: intrinsic dimension {dim} exceeds {_MAX_DIM}"
         )
     known: set[FaceDescriptor] = {polytope.all_indices()}
     queue = [polytope.all_indices()]
@@ -144,15 +133,21 @@ def oracle_faces(polytope: Polytope) -> tuple[FaceDescriptor, ...]:
             raise SizeGuardExceededError(
                 f"oracle_faces guard: {len(facets)} facets exceed {_MAX_FACETS}"
             )
-        inward = [-functional for functional, _offset, _tight in facets]
+        _scale, scaled = _scaled_points(points)
+        # Inward normal j's values at the face's points, one row each.
+        inward = [
+            [-sum(map(mul, functional._scaled[0], x)) for x in scaled]
+            for functional, _offset, _tight in facets
+        ]
         local = list(face.vertex_indices)  # face point k is polytope vertex local[k]
-        for mask in range(1, 1 << len(inward)):
-            coeffs = [0] * polytope.ambient_dim
-            for bit, normal in enumerate(inward):
-                if mask >> bit & 1:
-                    coeffs = [a + b for a, b in zip(coeffs, normal.coeffs)]
-            functional = LinearFunctional(tuple(coeffs))
-            values = [functional(v) for v in points]
+        values = [0] * len(points)
+        for step in range(1, 1 << len(inward)):
+            bit = (step & -step).bit_length() - 1  # the one bit the Gray code flips
+            row = inward[bit]
+            if (step ^ step >> 1) >> bit & 1:
+                values = [a + b for a, b in zip(values, row)]
+            else:
+                values = [a - b for a, b in zip(values, row)]
             best = min(values)
             argmin = FaceDescriptor(
                 tuple(local[k] for k, v in enumerate(values) if v == best)
@@ -198,8 +193,7 @@ def oracle_refute_face(
     # after scaling the vertices once by their common denominator: m is
     # m_num / (t_m scale), u is u_num / (t_u scale), and v = m + (p/q)(m - u)
     # is ((q + p) t_u m_num - p t_m u_num) / (q t_m t_u scale).
-    scale = lcm(*(x._scaled[1] for x in polytope.vertices))
-    corners = [[n * (scale // den) for n in nums] for nums, den in (x._scaled for x in polytope.vertices)]
+    scale, corners = _scaled_points(polytope.vertices)
     face_corners = [corners[i] for i in candidate.vertex_indices]
     step_choices = [(1, 1), (1, 2), (1, 4), (1, 8)]
     for _ in range(trials):

@@ -31,6 +31,9 @@ def files(tmp_path_factory):
         paths[name] = str(path)
 
     write("square.json", jsonio.polytope_to_json(unit_square()))
+    write("triangle_r5.json", {"vertices": [
+        ["0", "0", "0", "0", "0"], ["1", "2", "0", "0", "1"], ["0", "1", "3", "-1", "0"],
+    ]})
     write("lex01.json", {"levels": [["0", "1"], ["1", "0"]]})
     write("cortege.json", {"functionals": [
         {"coeffs": ["1", "1"], "offset": "-1"},
@@ -144,6 +147,15 @@ class TestOtherPolytopeCommands:
         assert result.returncode == 0
         doc = json.loads(result.stdout)
         assert doc["count"] == 9
+
+    def test_faces_cross_check_on_a_triangle_in_r5(self, files):
+        """The oracle's dimension guard counts the triangle's dimension, 2,
+        not the ambient 5."""
+        result = run_cli("faces", "--input", files["triangle_r5.json"], "--cross-check")
+        assert result.returncode == 0, result.stderr
+        doc = json.loads(result.stdout)
+        assert doc["count"] == 7
+        assert doc["faces"] == [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]]
 
     def test_chain(self, files):
         result = run_cli("chain", "--input", files["square.json"], "--face", "0")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import facelex as fx
+from facelex import oracle
 from facelex.oracle import oracle_faces, oracle_facets, oracle_lex_argmin, oracle_refute_face
 from facelex.polytope import _hull_facets
 from helpers import count_calls, lf, reference_refute_face
@@ -30,16 +31,34 @@ class TestOracleFaces:
             assert tuple(oracle_faces(polytope)) == tuple(polytope.all_faces())
 
     def test_size_guard(self, fixture_polytopes):
-        with pytest.raises(fx.SizeGuardExceededError):
+        with pytest.raises(fx.SizeGuardExceededError, match="16 vertices exceed 12"):
             oracle_faces(fixture_polytopes["4-cube"])
+
+    def test_guard_counts_the_intrinsic_dimension(self):
+        """A triangle in R^5 is within the guard; the 5-simplex is not, and
+        the message names the dimension and the limit."""
+        triangle = fx.Polytope([(0, 0, 0, 0, 0), (1, 2, 0, 0, 1), (0, 1, 3, -1, 0)])
+        faces = oracle_faces(triangle)
+        assert len(faces) == 7 and faces == triangle.all_faces()
+        simplex5 = fx.Polytope([(0,) * 5] + [tuple(int(i == k) for i in range(5)) for k in range(5)])
+        with pytest.raises(fx.SizeGuardExceededError, match="intrinsic dimension 5 exceeds 4"):
+            oracle_faces(simplex5)
+
+    @pytest.mark.parametrize("name,count", [("3-cube", 27), ("octahedron", 27), ("3-simplex", 15)])
+    def test_one_facet_enumeration_per_face(self, fixture_polytopes, monkeypatch, name, count):
+        """The exposure closure charts each face it finds exactly once."""
+        calls = count_calls(monkeypatch, oracle, "oracle_facets")
+        oracle_faces(fixture_polytopes[name])
+        assert len(calls) == count
 
 
 @st.composite
-def point_sets(draw):
+def point_sets(draw, entry=st.integers(-2, 2)):
     """Up to nine points with intrinsic dimension at most 4, embedded by an
-    integer affine map into an ambient space of up to two more dimensions,
-    with repeats and midpoints (on edges, on facets or interior) mixed in
-    anywhere in the order."""
+    affine map with entries drawn from ``entry`` (integers by default) into
+    an ambient space of up to two more dimensions, with repeats and
+    midpoints (on edges, on facets or interior) mixed in anywhere in the
+    order."""
     d = draw(st.integers(1, 4))
     ambient = d + draw(st.integers(0, 2))
     coordinate = st.integers(-1, 1)
@@ -50,11 +69,16 @@ def point_sets(draw):
         b = draw(st.sampled_from(points))
         points.append(tuple((x + y) / 2 for x, y in zip(a, b)))  # a repeat when a == b
     points = draw(st.permutations(points))
-    embedding = [draw(st.lists(st.integers(-2, 2), min_size=d + 1, max_size=d + 1)) for _ in range(ambient)]
+    embedding = [draw(st.lists(entry, min_size=d + 1, max_size=d + 1)) for _ in range(ambient)]
     return [
         fx.Point(tuple(sum(row[j] * q[j] for j in range(d)) + row[d] for row in embedding))
         for q in points
     ]
+
+
+# Embedding entries with denominators 1 to 3, so the points' coordinates
+# have mixed denominators and the oracles' lcm scaling is exercised.
+fractional_point_sets = point_sets(entry=st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)))
 
 
 class TestOracleFacets:
@@ -74,6 +98,19 @@ class TestOracleFacets:
         assert [
             (f.functional, f.offset, f.tight_vertices) for f in polytope.facets()
         ] == oracle_facets(polytope.vertices)
+
+    @settings(deadline=None, max_examples=100)
+    @given(points=fractional_point_sets)
+    def test_main_path_agrees_on_fractional_point_sets(self, points):
+        assert _hull_facets(points) == oracle_facets(points)
+
+
+class TestOracleFacesProperty:
+    @settings(deadline=None, max_examples=150)
+    @given(points=st.one_of(point_sets(), fractional_point_sets))
+    def test_equals_all_faces(self, points):
+        polytope = fx.Polytope(points)
+        assert oracle_faces(polytope) == polytope.all_faces()
 
 
 class TestOracleLexArgmin:
