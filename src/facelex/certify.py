@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import AffineFunctional, Point
+from .core import AffineFunctional, LinearFunctional, Point
 from .errors import ImproperFaceError, NotAFaceError
-from .polytope import FaceDescriptor, Facet, Polytope
+from .polytope import FaceDescriptor, Polytope, _dot, _indices, _mask
 from .preorder import LexPreorder
 from .stepaffine import Cortege, StepAffineFunction
 
@@ -84,9 +84,9 @@ def _check_proper(polytope: Polytope, face: FaceDescriptor) -> None:
         raise ImproperFaceError("the whole polytope is not a proper face")
 
 
-def _slack_functional(facet: Facet) -> AffineFunctional:
-    """The facet slack ``offset - functional(x)`` as an affine functional."""
-    return AffineFunctional(-facet.functional, facet.offset)
+def _slack_functional(a: tuple[int, ...], b: int) -> AffineFunctional:
+    """The slack ``b - a.x`` of the int facet row (a, b) as an affine functional."""
+    return AffineFunctional(LinearFunctional(tuple(-v for v in a)), Fraction(b))
 
 
 def certify(polytope: Polytope, face: FaceDescriptor) -> FaceCertificate | NotAFace:
@@ -112,33 +112,42 @@ def certify(polytope: Polytope, face: FaceDescriptor) -> FaceCertificate | NotAF
     _check_proper(polytope, face)
     smallest = polytope._closure(face)
     if smallest != face:
-        b = polytope.barycenter_of(face)
-        w_index = next(i for i in smallest.vertex_indices if i not in face.as_set())
-        w = polytope.vertices[w_index]
-        direction = b - w
-        t = Fraction(1)
-        bounded = False
-        for facet in polytope.facets():
-            speed = facet.functional(direction)
-            if speed > 0:
-                bound = facet.slack(b) / speed
-                if bound < t:
-                    t, bounded = bound, True
-                elif bound == t:
-                    bounded = True
-        if bounded:
-            t = t / 2
-        z = b + direction.scaled(t)
-        return NotAFace(witness=(w, z), smallest_face=smallest)
-
-    tight = polytope._facets_through(face)
-    linear = -tight[0].functional
-    offset = tight[0].offset
-    for facet in tight[1:]:
-        linear = linear + -facet.functional
-        offset = offset + facet.offset
-    cortege = Cortege((AffineFunctional(linear, offset),))
+        return _witness(polytope, face, smallest)
+    rows = [row for row, _mask in polytope._facets_through(face)]
+    normal = tuple(map(sum, zip(*(a for a, _b in rows))))
+    cortege = Cortege((_slack_functional(normal, sum(b for _a, b in rows)),))
     return FaceCertificate(cortege=cortege, chain=(polytope.all_indices(), face))
+
+
+def _witness(polytope: Polytope, face: FaceDescriptor, smallest: FaceDescriptor) -> NotAFace:
+    """The witness of :func:`certify` for a non-face, by ratio tests on ints.
+
+    Over the vertex rows X_i and their denominator L, the barycenter of the
+    k candidate vertices is b = S / (kL) with S = sum X_i, and b - w is
+    D / (kL) with D = S - k X_w.  A facet row (a, c) then has speed a.D / (kL)
+    and bound (c kL - a.S) / (a.D), and z = b + t (b - w) = (S + t D) / (kL).
+    """
+    rows, big = polytope._vertex_rows, polytope._vertex_den
+    k = len(face)
+    w_index = next(i for i in smallest.vertex_indices if i not in face.as_set())
+    total = [sum(col) for col in zip(*(rows[i] for i in face.vertex_indices))]
+    direction = [s - k * x for s, x in zip(total, rows[w_index])]
+    scale = k * big
+    t_num, t_den = 1, 1
+    bounded = False
+    for a, c in polytope._facet_rows:
+        speed = _dot(a, direction)
+        if speed > 0:
+            slack = c * scale - _dot(a, total)
+            if slack * t_den < t_num * speed:
+                t_num, t_den, bounded = slack, speed, True
+            elif slack * t_den == t_num * speed:
+                bounded = True
+    if bounded:
+        t_den *= 2
+    den = scale * t_den
+    z = Point(tuple(Fraction(s * t_den + v * t_num, den) for s, v in zip(total, direction)))
+    return NotAFace(witness=(polytope.vertices[w_index], z), smallest_face=smallest)
 
 
 def chain_certificate(polytope: Polytope, face: FaceDescriptor) -> FaceCertificate:
@@ -158,15 +167,15 @@ def chain_certificate(polytope: Polytope, face: FaceDescriptor) -> FaceCertifica
         raise NotAFaceError(f"{face.vertex_indices} is not a face")
     chain = [polytope.all_indices()]
     functionals: list[AffineFunctional] = []
-    current = chain[0].as_set()
-    for facet in polytope._facets_through(face):
-        tight_set = frozenset(facet.tight_vertices)
-        if current <= tight_set:
+    current = (1 << len(polytope.vertices)) - 1
+    target = _mask(face.vertex_indices)
+    for (a, b), tight in polytope._facets_through(face):
+        if current & tight == current:
             continue
-        functionals.append(_slack_functional(facet))
-        current = current & tight_set
-        chain.append(FaceDescriptor(tuple(current)))
-        if current == face.as_set():
+        functionals.append(_slack_functional(a, b))
+        current &= tight
+        chain.append(FaceDescriptor(_indices(current)))
+        if current == target:
             break
     assert chain[-1] == face, "tight-facet chain must terminate at the face"
     return FaceCertificate(cortege=Cortege(tuple(functionals)), chain=tuple(chain))
@@ -181,7 +190,9 @@ def verify_certificate(
     construction, so verification concentrates on the chain: it must start
     at the full vertex set, end at the claimed face, and each level must be
     nonnegative on the previous element's vertices with zero set exactly
-    the next element.
+    the next element.  Signs are read off the polytope's int vertex
+    numerators of each level, which are its values times one positive
+    constant.
     """
     functionals = certificate.cortege.functionals
     chain = certificate.chain
@@ -198,14 +209,13 @@ def verify_certificate(
     if chain[-1] != face:
         return Verification(False, "chain_end")
     for level, functional in enumerate(functionals, start=1):
-        zero: list[int] = []
-        for index in chain[level - 1].vertex_indices:
-            value = functional(polytope.vertices[index])
+        indices = chain[level - 1].vertex_indices
+        values = polytope._vertex_numerators(functional, indices)
+        for index, value in zip(indices, values):
             if value < 0:
                 return Verification(False, f"level_{level}_negative_at_vertex_{index}")
-            if value == 0:
-                zero.append(index)
-        if tuple(zero) != chain[level].vertex_indices:
+        zero = tuple(index for index, value in zip(indices, values) if value == 0)
+        if zero != chain[level].vertex_indices:
             return Verification(False, f"level_{level}_zero_set_mismatch")
     return Verification(True, None)
 
@@ -248,7 +258,5 @@ def _sign_split_leg(polytope: Polytope, face: FaceDescriptor, u: AffineFunctiona
     the leg takes a single functional.
     """
     members = face.as_set()
-    return all(
-        u(vertex) == 0 if index in members else u(vertex) > 0
-        for index, vertex in enumerate(polytope.vertices)
-    )
+    values = polytope._vertex_numerators(u, range(len(polytope.vertices)))
+    return all(value == 0 if index in members else value > 0 for index, value in enumerate(values))

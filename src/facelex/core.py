@@ -175,6 +175,11 @@ class LinearFunctional:
         """The coefficients as int numerators over their least common denominator."""
         return _over_common_denominator(self.coeffs)
 
+    @property
+    def _row(self) -> tuple[tuple[int, ...], int]:
+        """The int row (a, 0): self is a / den for one int den > 0."""
+        return self._scaled[0], 0
+
     def __call__(self, x: Point) -> Fraction:
         _require_same_dim(self.dim, x.dim)
         coeffs, den = self._scaled
@@ -206,6 +211,12 @@ class AffineFunctional:
     @property
     def dim(self) -> int:
         return self.linear.dim
+
+    @cached_property
+    def _row(self) -> tuple[tuple[int, ...], int]:
+        """The int row (a, o): self is x -> (a.x + o) / den for one int den > 0."""
+        nums, _den = _over_common_denominator(self.linear.coeffs + (self.offset,))
+        return nums[:-1], nums[-1]
 
     def __call__(self, x: Point) -> Fraction:
         return self.linear(x) + self.offset

@@ -19,6 +19,7 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .core import (
+    AffineFunctional,
     AffineManifold,
     IncrementalSpan,
     LinearFunctional,
@@ -67,24 +68,29 @@ class Facet:
         return self.offset - self.functional(x)
 
 
-def _intrinsic_chart(
-    points: Sequence[Point],
-) -> tuple[int, list[tuple[int, ...]], Callable[[Sequence[int]], tuple[LinearFunctional, Fraction]]]:
-    """Int coordinates of the points in their affine hull, and the way back.
+def _scaled_rows(points: Sequence[Point]) -> tuple[int, list[list[int]]]:
+    """The lcm L of the points' denominators, and the int vectors X_i = L x_i."""
+    scaled = [p._scaled for p in points]
+    big = lcm(*(den for _nums, den in scaled))
+    return big, [[v * (big // den) for v in nums] for nums, den in scaled]
 
-    The points scaled by the lcm L of their denominators are int vectors X_i.
-    One span pass leaves X_i - X_0 spanned by echelon rows D_j with pivot
-    piv_j at column c_j, zero at the other pivots: v = sum y_j D_j has
-    v[c_j] = piv_j y_j, so the pivot entries of X_i - X_0 are coordinates.
+
+def _intrinsic_chart(
+    big: int, xs: Sequence[Sequence[int]]
+) -> tuple[int, list[tuple[int, ...]], Callable[[Sequence[int]], tuple[LinearFunctional, Fraction]]]:
+    """Int coordinates of points in their affine hull, and the way back.
+
+    The points scaled by the lcm L of their denominators are the int
+    vectors X_i of :func:`_scaled_rows`.  One span pass leaves X_i - X_0
+    spanned by echelon rows D_j with pivot piv_j at column c_j, zero at the
+    other pivots: v = sum y_j D_j has v[c_j] = piv_j y_j, so the pivot
+    entries of X_i - X_0 are coordinates.
     w.t <= c maps back to the primitive row (L a, c + a.X_0) for the one a
     in the span with a.D_j = piv_j w_j, so each facet has one ambient form:
     a is w at the pivots when D = I (full dimension), else a = D^T y with
     (D D^T) y = diag(piv) w, and the kernel of [D D^T | -diag(piv)] holds
     (y_k, e_k) for every k, scaled once to ints.
     """
-    scaled = [p._scaled for p in points]
-    big = lcm(*(den for _nums, den in scaled))
-    xs = [[v * (big // den) for v in nums] for nums, den in scaled]
     x0 = xs[0]
     span = IncrementalSpan(len(x0))
     for x in xs[1:]:
@@ -107,8 +113,12 @@ def _intrinsic_chart(
     return d, [tuple(x[c] - x0[c] for c, _row in span._rows) for x in xs], to_ambient
 
 
-def _hull_facets(points: Sequence[Point]) -> list[tuple[LinearFunctional, Fraction, tuple[int, ...]]]:
+def _hull_facets(
+    points: Sequence[Point], scaled: tuple[int, list[list[int]]] | None = None
+) -> list[tuple[LinearFunctional, Fraction, tuple[int, ...]]]:
     """Facets of conv(points) relative to its affine hull, in ambient form.
+
+    ``scaled`` is :func:`_scaled_rows` of the points, when the caller has it.
 
     Double description (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda &
     Prodon 1996): in the int coordinates t of :func:`_intrinsic_chart`, the
@@ -124,7 +134,7 @@ def _hull_facets(points: Sequence[Point]) -> list[tuple[LinearFunctional, Fracti
     combinatorial, so it is exact on degenerate inputs.  Facets are
     returned sorted by (coefficients, offset), with their tight points.
     """
-    d, intrinsic, to_ambient = _intrinsic_chart(points)
+    d, intrinsic, to_ambient = _intrinsic_chart(*(scaled or _scaled_rows(points)))
     if d == 0:
         return []
     rows = [t + (-1,) for t in intrinsic]
@@ -207,7 +217,8 @@ class Polytope:
     stored :attr:`vertices` are therefore exactly the extreme points of the
     hull, in first-seen input order.  The one facet pass that decides this
     also fixes the facets, their vertex incidence masks and their integer
-    rows, so every later query only reads them.
+    rows, and the vertices' integer rows, so every later query only reads
+    them.
     """
 
     def __init__(self, points: Iterable[Point | Sequence]) -> None:
@@ -231,7 +242,8 @@ class Polytope:
         # {i}: the smallest face containing a point is the intersection of
         # its facets (all the points when there are none), and a face of
         # dimension >= 1 has at least two vertices among the points.
-        hull_facets = _hull_facets(pts)
+        scaled = _scaled_rows(pts)
+        hull_facets = _hull_facets(pts, scaled)
         meets = [(1 << len(pts)) - 1] * len(pts)
         for _functional, _offset, tight in hull_facets:
             mask = _mask(tight)
@@ -249,6 +261,9 @@ class Polytope:
         )
 
         self._vertices = tuple(pts[i] for i in renumber)
+        # Vertex i is the int row _vertex_rows[i] over the one denominator _vertex_den > 0.
+        self._vertex_den, xs = scaled
+        self._vertex_rows = tuple(xs[i] for i in renumber)
         self._removed = tuple(removed)
         self._ambient_dim = ambient
         self._facets = facets
@@ -346,10 +361,24 @@ class Polytope:
         """
         return self._facets
 
-    def _facets_through(self, face: FaceDescriptor) -> list[Facet]:
-        """The facets tight on every vertex of the face, in facet order."""
+    def _facets_through(self, face: FaceDescriptor) -> list[tuple[tuple[tuple[int, ...], int], int]]:
+        """The int rows (a, b) and tight masks of the facets tight on every
+        vertex of the face, in facet order."""
         mask = _mask(face.vertex_indices)
-        return [f for f, m in zip(self._facets, self._masks) if m & mask == mask]
+        return [(row, m) for row, m in zip(self._facet_rows, self._masks) if m & mask == mask]
+
+    def _vertex_numerators(
+        self, functional: LinearFunctional | AffineFunctional, indices: Iterable[int]
+    ) -> list[int]:
+        """The functional's values at the indexed vertices, times one positive
+        constant: a.X_i + o.L for its int row (a, o) and the vertex rows X_i
+        over L.  So they have the values' signs and order.  Raises
+        :class:`DimensionMismatchError` as evaluating the functional would."""
+        _require_same_dim(functional.dim, self._ambient_dim)
+        a, o = functional._row
+        shift = o * self._vertex_den
+        rows = self._vertex_rows
+        return [_dot(a, rows[i]) + shift for i in indices]
 
     def _closure(self, face: FaceDescriptor) -> FaceDescriptor:
         """Smallest face containing the vertex set, from the incidences alone.

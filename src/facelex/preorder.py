@@ -66,11 +66,13 @@ class LexPreorder:
         Each level keeps exactly the surviving vertices attaining its
         minimum; restricting to vertices is enough because every level's
         argmin over a polytope is spanned by its argmin vertices, and each
-        filtering step stays inside the previous argmin face.
+        filtering step stays inside the previous argmin face.  Levels are
+        compared through the polytope's int vertex numerators, which are the
+        values times one positive constant.
         """
         survivors = list(range(len(polytope.vertices)))
         for level in self.levels:
-            values = [level(polytope.vertices[i]) for i in survivors]
+            values = polytope._vertex_numerators(level, survivors)
             best = min(values)
             survivors = [i for i, v in zip(survivors, values) if v == best]
         return FaceDescriptor(tuple(survivors))

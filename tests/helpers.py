@@ -363,3 +363,95 @@ def reference_refute_face(
         if not reference_contains(hull, u) or not reference_contains(hull, v):
             return (u, v)
     return None
+
+
+# -- test-only references for the certificate layer's integer paths -----------
+
+
+def reference_verify(
+    polytope: fx.Polytope, face: fx.FaceDescriptor, certificate: fx.FaceCertificate
+) -> tuple[bool, str | None]:
+    """Verdict and reason of ``verify_certificate``, evaluating each level at
+    each vertex in ``Fraction`` as it did before it read the vertex rows."""
+    functionals = certificate.cortege.functionals
+    chain = certificate.chain
+    if len(chain) != len(functionals) + 1:
+        return False, "chain_length"
+    for descriptor in chain:
+        indices = descriptor.vertex_indices
+        if not indices or indices[0] < 0 or indices[-1] >= len(polytope.vertices):
+            return False, "chain_indices"
+    if chain[0] != polytope.all_indices():
+        return False, "chain_start"
+    if chain[-1] != face:
+        return False, "chain_end"
+    for level, functional in enumerate(functionals, start=1):
+        zero = []
+        for index in chain[level - 1].vertex_indices:
+            value = functional(polytope.vertices[index])
+            if value < 0:
+                return False, f"level_{level}_negative_at_vertex_{index}"
+            if value == 0:
+                zero.append(index)
+        if tuple(zero) != chain[level].vertex_indices:
+            return False, f"level_{level}_zero_set_mismatch"
+    return True, None
+
+
+def reference_sign_split(polytope: fx.Polytope, face: fx.FaceDescriptor, u: fx.AffineFunctional) -> bool:
+    """Leg (b) by ``Fraction`` values: zero on the face's vertices, positive elsewhere."""
+    members = face.as_set()
+    return all(
+        u(vertex) == 0 if index in members else u(vertex) > 0
+        for index, vertex in enumerate(polytope.vertices)
+    )
+
+
+def _reference_tight_facets(polytope: fx.Polytope, face: fx.FaceDescriptor) -> list[fx.Facet]:
+    return [f for f in polytope.facets() if face.as_set() <= set(f.tight_vertices)]
+
+
+def reference_certify(polytope: fx.Polytope, face: fx.FaceDescriptor):
+    """``certify`` on ``Fraction`` points and functionals: the smallest face
+    from membership at the barycenter, the certificate as a sum of facet
+    slacks, and the witness by ratio tests on ``Fraction`` values."""
+    b = polytope.barycenter_of(face)
+    smallest = polytope.smallest_face_containing(b)
+    if smallest != face:
+        w = polytope.vertices[next(i for i in smallest.vertex_indices if i not in face.as_set())]
+        direction = b - w
+        t, bounded = Fraction(1), False
+        for facet in polytope.facets():
+            speed = facet.functional(direction)
+            if speed > 0:
+                bound = facet.slack(b) / speed
+                if bound < t:
+                    t, bounded = bound, True
+                elif bound == t:
+                    bounded = True
+        if bounded:
+            t = t / 2
+        return fx.NotAFace(witness=(w, b + direction.scaled(t)), smallest_face=smallest)
+    tight = _reference_tight_facets(polytope, face)
+    linear, offset = -tight[0].functional, tight[0].offset
+    for facet in tight[1:]:
+        linear, offset = linear + -facet.functional, offset + facet.offset
+    cortege = fx.Cortege((fx.AffineFunctional(linear, offset),))
+    return fx.FaceCertificate(cortege=cortege, chain=(polytope.all_indices(), face))
+
+
+def reference_chain_certificate(polytope: fx.Polytope, face: fx.FaceDescriptor) -> fx.FaceCertificate:
+    """``chain_certificate`` on ``Fraction`` facet slacks and vertex sets."""
+    chain = [polytope.all_indices()]
+    functionals = []
+    current = chain[0].as_set()
+    for facet in _reference_tight_facets(polytope, face):
+        tight = frozenset(facet.tight_vertices)
+        if current <= tight:
+            continue
+        functionals.append(fx.AffineFunctional(-facet.functional, facet.offset))
+        current = current & tight
+        chain.append(fx.FaceDescriptor(tuple(current)))
+        if current == face.as_set():
+            break
+    return fx.FaceCertificate(cortege=fx.Cortege(tuple(functionals)), chain=tuple(chain))

@@ -1,12 +1,28 @@
+import itertools
 import random
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import facelex as fx
 import facelex.sampling
 import facelex.stepaffine
-from helpers import af, assert_witness_valid, count_calls, pt
+from facelex.certify import _sign_split_leg
+from facelex.oracle import oracle_lex_argmin
+from helpers import (
+    af,
+    assert_witness_valid,
+    count_calls,
+    pt,
+    random_preorder,
+    reference_certify,
+    reference_chain_certificate,
+    reference_sign_split,
+    reference_verify,
+)
 
 
 def fd(*indices):
@@ -225,3 +241,107 @@ class TestWorkBounds:
             for face in polytope.proper_faces():
                 assert fx.equivalence_report(polytope, face).consistent
         assert calls == []
+
+    def test_certificate_layer_evaluates_no_functional(self, fixture_polytopes, monkeypatch):
+        """certify, chain_certificate, verify_certificate, equivalence_report
+        and min_set read int rows: no functional is evaluated at a point."""
+        linear_calls = count_calls(monkeypatch, fx.LinearFunctional, "__call__")
+        affine_calls = count_calls(monkeypatch, fx.AffineFunctional, "__call__")
+        rng = random.Random(16)
+        for polytope in fixture_polytopes.values():
+            faces = set(polytope.all_faces())
+            for face in polytope.proper_faces():
+                for certificate in (fx.certify(polytope, face), fx.chain_certificate(polytope, face)):
+                    assert fx.verify_certificate(polytope, face, certificate).accepted
+                assert fx.equivalence_report(polytope, face).consistent
+            n = len(polytope.vertices)
+            non_faces = [
+                c for size in range(1, n) for c in itertools.combinations(range(n), size)
+                if fx.FaceDescriptor(c) not in faces
+            ]
+            for candidate in rng.sample(non_faces, min(5, len(non_faces))):
+                face = fx.FaceDescriptor(candidate)
+                assert isinstance(fx.certify(polytope, face), fx.NotAFace)
+                assert fx.equivalence_report(polytope, face).consistent
+            for _ in range(3):
+                random_preorder(rng, polytope.ambient_dim).min_set(polytope)
+        assert linear_calls == [] and affine_calls == []
+
+
+class TestDimensionChecks:
+    """Levels of another dimension than the body raise, as evaluating them
+    at a vertex would."""
+
+    @pytest.mark.parametrize("coeffs", [[1], [1, 1, 1]])
+    def test_verify_certificate(self, square, coeffs):
+        certificate = fx.FaceCertificate(
+            cortege=fx.Cortege((af(coeffs),)), chain=(square.all_indices(), fd(0))
+        )
+        with pytest.raises(fx.DimensionMismatchError):
+            fx.verify_certificate(square, fd(0), certificate)
+
+    def test_equivalence_report_on_a_mismatched_body(self, square, cube3, monkeypatch):
+        """The sign-split leg checks the certificate's dimension even when
+        verification has already rejected its chain."""
+        monkeypatch.setattr(sys.modules["facelex.certify"], "certify", lambda _p, f: fx.certify(cube3, f))
+        with pytest.raises(fx.DimensionMismatchError):
+            fx.equivalence_report(square, fd(0))
+
+    def test_min_set(self, square):
+        with pytest.raises(fx.DimensionMismatchError):
+            fx.lex_preorder([[1, 0, 0], [0, 1, 0]]).min_set(square)
+
+
+def _mixed_denominator_polytopes(dim: int):
+    coords = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    points = st.lists(st.tuples(*[coords] * dim), min_size=dim + 1, max_size=dim + 3, unique=True)
+    return points.map(fx.Polytope).filter(lambda p: len(p.vertices) >= 2)
+
+
+def _mutations(rng: random.Random, certificate: fx.FaceCertificate) -> list[fx.FaceCertificate]:
+    """The certificate with one level's offset moved by 1/q, with one level
+    negated, and with its first two levels swapped."""
+    levels = list(certificate.cortege.functionals)
+    k = rng.randrange(len(levels))
+    shift = Fraction(rng.choice((-1, 1)), rng.randint(1, 6))
+    variants = [
+        levels[:k] + [fx.AffineFunctional(levels[k].linear, levels[k].offset + shift)] + levels[k + 1:],
+        levels[:k] + [fx.AffineFunctional(-levels[k].linear, -levels[k].offset)] + levels[k + 1:],
+    ]
+    if len(levels) >= 2:
+        variants.append([levels[1], levels[0]] + levels[2:])
+    return [fx.FaceCertificate(fx.Cortege(tuple(v)), certificate.chain) for v in variants]
+
+
+class TestIntRowsProperty:
+    """On vertices with mixed denominators (one common denominator L != 1),
+    the int paths agree with per-vertex Fraction references."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        polytope=st.one_of(_mixed_denominator_polytopes(2), _mixed_denominator_polytopes(3)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_certificate_layer_matches_fraction_reference(self, polytope, seed):
+        rng = random.Random(seed)
+        n = len(polytope.vertices)
+        for size in range(1, n):
+            for subset in itertools.combinations(range(n), size):
+                face = fx.FaceDescriptor(subset)
+                result = fx.certify(polytope, face)
+                assert result == reference_certify(polytope, face)
+                if isinstance(result, fx.NotAFace):
+                    assert_witness_valid(polytope, face, result)
+                    continue
+                chain = fx.chain_certificate(polytope, face)
+                assert chain == reference_chain_certificate(polytope, face)
+                (u,) = result.cortege.functionals
+                assert _sign_split_leg(polytope, face, u) == reference_sign_split(polytope, face, u)
+                for certificate in [result, chain, *_mutations(rng, result), *_mutations(rng, chain)]:
+                    verdict = fx.verify_certificate(polytope, face, certificate)
+                    assert (verdict.accepted, verdict.reason) == reference_verify(polytope, face, certificate)
+                negated = fx.AffineFunctional(-u.linear, -u.offset)
+                assert _sign_split_leg(polytope, face, negated) == reference_sign_split(polytope, face, negated)
+        for _ in range(3):
+            preorder = random_preorder(rng, polytope.ambient_dim)
+            assert preorder.min_set(polytope) == oracle_lex_argmin(polytope, preorder.levels)

@@ -35,6 +35,7 @@ def files(tmp_path_factory):
         ["0", "0", "0", "0", "0"], ["1", "2", "0", "0", "1"], ["0", "1", "3", "-1", "0"],
     ]})
     write("lex01.json", {"levels": [["0", "1"], ["1", "0"]]})
+    write("lex3d.json", {"levels": [["0", "1", "0"], ["1", "0", "0"]]})
     write("cortege.json", {"functionals": [
         {"coeffs": ["1", "1"], "offset": "-1"},
         {"coeffs": ["1", "-1"], "offset": "0"},
@@ -323,6 +324,14 @@ class TestErrorPaths:
         # a certificate document or its chain entries.
         result = run_cli("chain", "--input", files["square.json"], "--face", flag)
         assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+    def test_preorder_of_another_dimension(self, files):
+        result = run_cli(
+            "lexmin", "--input", files["square.json"], "--preorder", files["lex3d.json"], "--cross-check"
+        )
+        assert result.returncode == 2
+        assert "dimension mismatch" in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_internal_error_exits_4(self, files, monkeypatch, capsys):
