@@ -263,6 +263,23 @@ def rref(rows: Sequence[Sequence[Fraction]], width: int) -> tuple[list[list[Frac
     return mat, pivots
 
 
+def reference_det(matrix: Sequence[Sequence[int | Fraction]]) -> Fraction:
+    """Determinant by the permutation expansion, in ``Fraction``s.
+
+    Test-only reference for the oracle's fraction-free ``_det``: the sum
+    over permutations s of sign(s) * prod_i matrix[i][s(i)], with the sign
+    read off the inversions.  The empty matrix has determinant 1.
+    """
+    n = len(matrix)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total
+
 # -- rational samplers on the refuter's integer draws ------------------------
 
 

@@ -1,15 +1,25 @@
 import itertools
+import sys
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import facelex as fx
-from facelex import oracle
-from facelex.oracle import oracle_faces, oracle_facets, oracle_lex_argmin, oracle_refute_face
+from facelex import core, oracle
+from facelex.core import IncrementalSpan, nullspace_basis
+from facelex.oracle import (
+    _det,
+    _kernel_minors,
+    oracle_faces,
+    oracle_facets,
+    oracle_lex_argmin,
+    oracle_refute_face,
+)
 from facelex.polytope import _hull_facets
-from helpers import count_calls, lf, reference_refute_face
+from helpers import count_calls, lf, reference_det, reference_refute_face
 
 
 def fd(*indices):
@@ -111,6 +121,90 @@ class TestOracleFacesProperty:
     def test_equals_all_faces(self, points):
         polytope = fx.Polytope(points)
         assert oracle_faces(polytope) == polytope.all_faces()
+
+
+@st.composite
+def int_matrices(draw, extra_columns):
+    """d x (d + extra_columns) int matrices, d from 1 to 5, with entries up
+    to 10**12 in size or in small ranges that make dependent rows common;
+    on demand one row is an integer combination of the others."""
+    d = draw(st.integers(1, 5))
+    bound = draw(st.sampled_from([1, 2, 10**12]))
+    row = st.lists(st.integers(-bound, bound), min_size=d + extra_columns, max_size=d + extra_columns)
+    rows = draw(st.lists(row, min_size=d, max_size=d))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, d - 1))
+        scales = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+        scales[k] = 0
+        rows[k] = [sum(map(mul, scales, col)) for col in zip(*rows)]
+    return rows
+
+
+class TestKernelMinors:
+    """The fraction-free kernels of ``oracle_facets`` against the main path's
+    ``IncrementalSpan`` and ``nullspace_basis`` and a ``Fraction`` determinant."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(rows=int_matrices(1))
+    def test_minors_span_the_kernel(self, rows):
+        d = len(rows)
+        span = IncrementalSpan(d + 1)
+        for row in rows:
+            span.add(row)
+        minors = _kernel_minors(rows)
+        if span.rank < d:
+            assert minors == [0] * (d + 1)
+            return
+        assert any(minors)
+        assert all(sum(map(mul, row, minors)) == 0 for row in rows)
+        (kernel,) = nullspace_basis(rows, d + 1)
+        k = next(i for i, w in enumerate(kernel) if w)
+        ratio = minors[k] / kernel[k]
+        assert [ratio * w for w in kernel] == minors
+
+    @settings(deadline=None, max_examples=150)
+    @given(matrix=int_matrices(0))
+    def test_det_equals_permutation_expansion(self, matrix):
+        assert _det(matrix) == reference_det(matrix)
+
+
+def count_everywhere(monkeypatch, name: str) -> list:
+    """Record calls to ``core.<name>`` through every facelex module that holds it."""
+    calls = []
+    original = getattr(core, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("facelex") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestOracleWork:
+    """Work gates on every fixture: the facet and face oracles take their
+    kernels from their own minors, and the face oracle builds a descriptor
+    only for a face it has not seen."""
+
+    def test_no_main_path_kernels(self, fixture_polytopes, monkeypatch):
+        kernels = count_everywhere(monkeypatch, "nullspace_basis")
+        hulls = count_everywhere(monkeypatch, "affine_hull")
+        for name, polytope in fixture_polytopes.items():
+            oracle_facets(polytope.vertices)
+            if len(polytope.vertices) <= 12:
+                oracle_faces(polytope)
+            assert (len(kernels), len(hulls)) == (0, 0), name
+
+    def test_descriptors_per_face(self, fixture_polytopes, monkeypatch):
+        built = count_calls(monkeypatch, fx.FaceDescriptor, "__post_init__")
+        for name, polytope in fixture_polytopes.items():
+            if len(polytope.vertices) > 12:
+                continue  # outside the oracle's stated size domain (the 4-cube)
+            built.clear()
+            faces = oracle_faces(polytope)
+            assert len(built) <= 2 * len(faces), name
 
 
 class TestOracleLexArgmin:
